@@ -335,12 +335,9 @@ class Session:
 
     def backend(self, name: str) -> "Session":
         """Select the execution backend for training and scoring."""
-        from .distributed.backends import BACKEND_NAMES
+        from .distributed.execution import check_backend
 
-        if name not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {name!r}; choose from {BACKEND_NAMES}")
-        self._backend = name
+        self._backend = check_backend(name)
         return self
 
     def scale(self, scale) -> "Session":

@@ -10,7 +10,6 @@ from .comm import (
     CommRecord,
 )
 from .backends import (
-    BACKEND_NAMES,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -19,6 +18,7 @@ from .backends import (
 )
 from .centralized import train_centralized
 from .commodel import CommEstimate, estimate_epoch_comm
+from .execution import BACKEND_NAMES
 from .inference import DistributedScorer, InferenceResult
 from .timeline import (
     EpochTimeline,

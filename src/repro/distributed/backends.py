@@ -36,7 +36,6 @@ ProcessBackend) when the platform cannot ``fork``.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import signal
 import threading
@@ -54,10 +53,8 @@ from ..faults.errors import (
     WorkerTimeoutError,
 )
 from .comm import CommRecord
+from .execution import fork_child, guarded_recv, reap, resolve_backend
 from .sync import average_gradients, average_models, sync_bytes_per_worker
-
-#: Names accepted by ``TrainConfig.backend`` / :func:`make_backend`.
-BACKEND_NAMES = ("serial", "thread", "process")
 
 #: Keep shared-memory segments (and the ndarray views into them) alive
 #: for the life of the process: graphs handed out by a ProcessBackend
@@ -249,9 +246,7 @@ def make_backend(name: str, num_workers: int):
     ``fork`` start method (children must inherit the graph without
     pickling it).
     """
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {BACKEND_NAMES}")
+    name = resolve_backend(name)
     if name == "serial":
         return SerialBackend()
     if num_workers <= 1:
@@ -262,12 +257,6 @@ def make_backend(name: str, num_workers: int):
         return SerialBackend()
     if name == "thread":
         return ThreadBackend(num_workers)
-    if "fork" not in mp.get_all_start_methods():
-        warnings.warn(
-            "backend='process' needs the fork start method (workers "
-            "inherit the graph copy-on-write); degrading to the serial "
-            "backend", RuntimeWarning, stacklevel=2)
-        return SerialBackend()
     return ProcessBackend(num_workers)
 
 
@@ -550,9 +539,10 @@ class ProcessBackend(ExecutionBackend):
     absorbs each child's communication deltas into the parent-side
     meters — hence bit-identical metrics and byte-identical ledgers.
 
-    **Fault tolerance.**  Every pipe read runs through a guarded
-    receive: it polls with a short period, probes the child's liveness,
-    and gives up after ``TrainConfig.fault_timeout_s`` wall seconds —
+    **Fault tolerance.**  Every pipe read runs through
+    :func:`~repro.distributed.execution.guarded_recv`: it polls with a
+    short period, probes the child's liveness, and gives up after
+    ``TrainConfig.fault_timeout_s`` wall seconds —
     a dead child raises :class:`WorkerDiedError`, a wedged one
     :class:`WorkerTimeoutError`; bare ``conn.recv()`` never blocks the
     parent forever.  Detection triggers the configured recovery:
@@ -582,13 +572,12 @@ class ProcessBackend(ExecutionBackend):
     def __init__(self, num_workers: int) -> None:
         self.num_workers = int(num_workers)
         self.trainer = None
-        self._procs: List[mp.Process] = []
+        self._procs: List = []
         self._conns: List = []
         self._has_pending: List[bool] = []
         self._exhausted: List[bool] = []
         self._round_grads: Dict[int, Dict[str, Optional[np.ndarray]]] = {}
         self._shm = None
-        self._mp_ctx = None
         self._dead: set = set()
         self._timeout_s = 30.0
         self._logging = False
@@ -616,7 +605,6 @@ class ProcessBackend(ExecutionBackend):
         self._logging = (config.recovery == "restore"
                          and self._checkpoint_every >= 1)
         self._shm = _share_features(trainer.partitioned.full)
-        self._mp_ctx = mp.get_context("fork")
         self._procs = [None] * n
         self._conns = [None] * n
         self._inbox = [[] for _ in range(n)]
@@ -634,14 +622,9 @@ class ProcessBackend(ExecutionBackend):
 
     def _fork_child(self, part: int) -> None:
         """Fork (or re-fork) the child process owning worker ``part``."""
-        parent_conn, child_conn = self._mp_ctx.Pipe(duplex=True)
-        proc = self._mp_ctx.Process(
-            target=_child_main, args=(self.trainer, part, child_conn),
-            daemon=True, name=f"repro-worker-{part}")
-        proc.start()
-        child_conn.close()
-        self._procs[part] = proc
-        self._conns[part] = parent_conn
+        self._procs[part], self._conns[part] = fork_child(
+            target=_child_main, args=(self.trainer, part),
+            name=f"repro-worker-{part}")
         # Replies buffered from the previous incarnation's pipe are
         # stale once the child is re-forked.
         self._inbox[part] = []
@@ -655,19 +638,8 @@ class ProcessBackend(ExecutionBackend):
                 conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-        for proc in self._procs:
-            if proc is None:
-                continue
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+        for proc, conn in zip(self._procs, self._conns):
+            reap(proc, conn)
         self._procs, self._conns = [], []
         if self._shm is not None:
             try:
@@ -715,24 +687,9 @@ class ProcessBackend(ExecutionBackend):
         return self._pipe_recv(i, context)
 
     def _pipe_recv(self, i: int, context: str):
-        """The actual guarded pipe read behind :meth:`_raw_recv`."""
-        conn = self._conns[i]
-        proc = self._procs[i]
-        deadline = time.monotonic() + self._timeout_s
-        while True:
-            if conn.poll(0.05):  # lint: disable=R106
-                try:
-                    return conn.recv()  # lint: disable=R106
-                except (EOFError, ConnectionResetError, OSError) as err:
-                    raise WorkerDiedError(i, context) from err
-            if not proc.is_alive():
-                # One final drain: the child may have answered and then
-                # exited between our poll and the liveness probe.
-                if conn.poll(0):
-                    continue
-                raise WorkerDiedError(i, context)
-            if time.monotonic() > deadline:
-                raise WorkerTimeoutError(i, context, self._timeout_s)
+        """The guarded pipe read behind :meth:`_raw_recv`."""
+        return guarded_recv(self._conns[i], self._procs[i],
+                            self._timeout_s, i, context)
 
     def _recv_tagged(self, i: int, want: str, context: str):
         """Receive the next reply tagged ``want``, buffering any
@@ -832,21 +789,7 @@ class ProcessBackend(ExecutionBackend):
 
     def _reap(self, i: int) -> None:
         """Make sure a failed child is actually dead and reaped."""
-        proc = self._procs[i]
-        if proc is not None and proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
-        elif proc is not None:
-            proc.join(timeout=1.0)
-        conn = self._conns[i]
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        reap(self._procs[i], self._conns[i], grace_s=0)
 
     def _respawn_restore(self, i: int, inflight: tuple) -> None:
         """Fork a fresh child, rehydrate it from the last checkpoint
@@ -918,14 +861,7 @@ class ProcessBackend(ExecutionBackend):
                 conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        proc = self._procs[worker]
-        if proc is not None and proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=2.0)
+        reap(self._procs[worker], conn, grace_s=0)
 
     def inject_crash(self, worker: int) -> None:
         """SIGKILL the child — a real, unannounced death; detection

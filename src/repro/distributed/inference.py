@@ -8,12 +8,18 @@ the configured remote store, with every remote access charged), and
 scores the pair with the trained model.
 
 Scoring can run on any :mod:`execution backend
-<repro.distributed.backends>`: worker shards are disjoint, so the
-``thread`` backend scores them concurrently in one process and the
-``process`` backend forks one child per worker (copy-on-write graph,
-results and communication deltas merged in worker order).  Scores and
-ledgers are bit-identical across backends: every worker's sampler seed
-is pre-drawn from the scorer RNG in worker order before any dispatch.
+<repro.distributed.execution>`: worker shards are disjoint, so the
+scorer hands one task per shard to a
+:class:`~repro.distributed.execution.ShardExecutor`, which runs them
+in turn (``serial``), on a thread pool (``thread``) or in one forked
+child per shard (``process``, copy-on-write graph).  Every shard task
+charges a scratch meter and returns its communication record, the
+embeddings it computed and its memo hits; the parent merges them in
+worker order on every backend.  Scores and ledgers are bit-identical
+across backends: every worker's sampler seed is pre-drawn from the
+scorer RNG in worker order before any dispatch.  When a forked shard
+dies, its pairs are re-scored through the first live shard and
+reported as rerouted to it.
 
 With full-neighbor computation (``fanouts = [-1] * K``) and a complete
 remote store, distributed scores are *exactly* equal to centralized
@@ -28,24 +34,20 @@ the moment the weights change.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..rng import ensure_rng
-from ..faults.errors import WorkerDiedError, WorkerTimeoutError
 from ..nn.models import LinkPredictionModel
 from ..nn.serialize import model_fingerprint
 from ..nn.tensor import Tensor
 from ..partition.partitioned import PartitionedGraph
 from ..sampling.neighbor import NeighborSampler
-from .backends import BACKEND_NAMES
 from .comm import CommMeter, CommRecord
-from .routing import ShardRouter, guarded_recv
+from .execution import ShardExecutor, resolve_backend
+from .routing import ShardRouter
 from .views import WorkerGraphView
 
 
@@ -117,31 +119,18 @@ class DistributedScorer:
         backend: str = "serial",
         timeout_s: float = 30.0,
     ) -> None:
-        if backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKEND_NAMES}")
-        if (backend == "process"
-                and "fork" not in mp.get_all_start_methods()):
-            warnings.warn(
-                "backend='process' needs the fork start method; scoring "
-                "serially instead", RuntimeWarning, stacklevel=2)
-            backend = "serial"
+        self.backend = resolve_backend(backend)
         self.model = model
         self.partitioned = partitioned
+        self.remote = remote
         self.fanouts = list(fanouts)
         self.batch_size = batch_size
         self.rng = ensure_rng(rng)
-        self.backend = backend
         self.timeout_s = float(timeout_s)
         # The router consumes the ownership model (master replicas
         # under vertex cut), not a raw one-owner-per-node vector.
         self.router = ShardRouter(partitioned, partitioned.num_parts)
         self.meters = [CommMeter() for _ in range(partitioned.num_parts)]
-        self.views = [
-            WorkerGraphView(partitioned, part, remote=remote,
-                            meter=self.meters[part])
-            for part in range(partitioned.num_parts)
-        ]
         #: Embedding memo, per shard: node id -> final-layer embedding.
         #: Only populated with all-full-neighbor fanouts (deterministic
         #: embeddings); see the class docstring.
@@ -197,47 +186,39 @@ class DistributedScorer:
         """Score pairs; each is routed to its source endpoint's owner
         (or a fallback shard when the owner is marked down)."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if pairs.shape[0] == 0:
-            # Graceful empty query: nothing routed, nothing charged.
-            comm = CommRecord()
-            for meter in self.meters:
-                comm += meter.total()
-            return InferenceResult(
-                scores=np.empty(0, dtype=np.float64), comm=comm,
-                pairs_per_worker=[0] * self.partitioned.num_parts,
-                rerouted_pairs=0)
         self._refresh_memo()
         owners, rerouted = self._route(pairs)
         scores = np.empty(pairs.shape[0], dtype=np.float64)
-        counts: List[int] = []
+        counts = [0] * self.partitioned.num_parts
         # Pre-draw every shard's sampler seed in worker order so the
         # scorer RNG advances identically on every backend.
-        shards: List[tuple] = []  # (part, sel, seed)
+        sels: List[np.ndarray] = []
+        tasks: List[tuple] = []  # (part, shard pairs, seed)
         for part in range(self.partitioned.num_parts):
             sel = np.flatnonzero(owners == part)
-            counts.append(int(sel.size))
             if sel.size == 0:
                 continue
-            shards.append((part, sel,
-                           int(self.rng.integers(0, 2**63 - 1))))
+            sels.append(sel)
+            tasks.append((part, pairs[sel],
+                          int(self.rng.integers(0, 2**63 - 1))))
         self.model.eval()
         try:
-            if self.backend == "thread" and len(shards) > 1:
-                self._score_threaded(shards, pairs, scores)
-            elif self.backend == "process" and len(shards) > 1:
-                self._score_forked(shards, pairs, scores)
-            else:
-                for part, sel, seed in shards:
-                    shard_scores, fresh, hits = self._score_shard(
-                        part, sel, pairs, seed)
-                    scores[sel] = shard_scores
-                    self._absorb_memo(part, fresh, hits)
+            replies = ShardExecutor(
+                self.backend, self.timeout_s, name="repro-scorer").map(
+                    self._score_shard, tasks, fallback=self._score_fallback)
         finally:
             self.model.train()
-        comm = CommRecord()
-        for meter in self.meters:
-            comm += meter.total()
-        return InferenceResult(scores=scores, comm=comm,
+        # Merge in worker order.  A reply names the shard that served
+        # it, which is not the owner after a fallback.
+        for (part, _, _), sel, reply in zip(tasks, sels, replies):
+            served_by, shard_scores, shard_comm, fresh, hits = reply
+            scores[sel] = shard_scores
+            counts[served_by] += int(sel.size)
+            if served_by != part:
+                rerouted += int(sel.size)
+            self.meters[served_by].absorb(shard_comm)
+            self._absorb_memo(served_by, fresh, hits)
+        return InferenceResult(scores=scores, comm=self._total_comm(),
                                pairs_per_worker=counts,
                                rerouted_pairs=rerouted)
 
@@ -253,28 +234,29 @@ class DistributedScorer:
         if self._memo_enabled and fresh:
             self._embed_memo[part].update(fresh)
 
-    def _score_shard(self, part: int, sel: np.ndarray, pairs: np.ndarray,
-                     seed: int
-                     ) -> Tuple[np.ndarray, Dict[int, np.ndarray], int]:
+    def _score_shard(self, task: tuple) -> Tuple[
+            int, np.ndarray, CommRecord, Dict[int, np.ndarray], int]:
         """Score one worker's shard of pairs, in routing order.
 
-        Touches only worker-``part`` state (view, meter, a fresh
-        sampler), so shards are safe to run concurrently.  Returns the
-        scores plus the per-node embeddings computed from scratch this
-        call plus the memo hit count (the caller folds both into the
-        shard memo and the work counters — the forked child ships them
-        back to the parent instead).
+        ``task`` is ``(part, shard_pairs, seed)``.  Reads only
+        worker-``part`` state and charges a scratch meter, so shards are
+        safe to run concurrently or in a forked child.  Returns
+        ``(part, scores, comm, fresh, hits)``: the communication the
+        shard paid, the per-node embeddings it computed from scratch
+        and its memo hit count, for the caller to merge.
         """
-        view = self.views[part]
+        part, shard_pairs, seed = task
+        meter = CommMeter()
+        view = WorkerGraphView(self.partitioned, part, remote=self.remote,
+                               meter=meter)
         sampler = NeighborSampler(self.fanouts,
                                   rng=np.random.default_rng(seed))
         memo = self._embed_memo[part] if self._memo_enabled else None
         fresh: Dict[int, np.ndarray] = {}
         hits = 0
-        out = np.empty(sel.size, dtype=np.float64)
-        for start in range(0, sel.size, self.batch_size):
-            idx = sel[start:start + self.batch_size]
-            batch = pairs[idx]
+        out = np.empty(shard_pairs.shape[0], dtype=np.float64)
+        for start in range(0, shard_pairs.shape[0], self.batch_size):
+            batch = shard_pairs[start:start + self.batch_size]
             seeds, inverse = np.unique(batch.ravel(), return_inverse=True)
             pair_idx = inverse.reshape(-1, 2)
             if memo is None:
@@ -285,7 +267,7 @@ class DistributedScorer:
                                                 pair_idx[:, 1])
                 # Without the memo every seed is computed fresh; the
                 # rows are still reported so the work counters agree
-                # across backends (the forked child ships them back).
+                # across backends.
                 for j, node in enumerate(seeds):
                     fresh[int(node)] = emb.data[j]
             else:
@@ -309,100 +291,25 @@ class DistributedScorer:
                 logits = self.model.score_pairs(Tensor(rows),
                                                 pair_idx[:, 0],
                                                 pair_idx[:, 1])
-            out[start:start + idx.size] = logits.data
-        return out, fresh, hits
+            out[start:start + batch.shape[0]] = logits.data
+        return part, out, meter.current, fresh, hits
 
-    def _score_threaded(self, shards, pairs, scores) -> None:
-        """Score shards on a thread pool; shards write disjoint rows
-        and worker-private meters, so no cross-thread mutation."""
-        with ThreadPoolExecutor(
-                max_workers=len(shards),
-                thread_name_prefix="repro-scorer") as pool:
-            futures = [
-                (part, sel,
-                 pool.submit(self._score_shard, part, sel, pairs, seed))
-                for part, sel, seed in shards
-            ]
-            for part, sel, future in futures:
-                shard_scores, fresh, hits = future.result()
-                scores[sel] = shard_scores
-                self._absorb_memo(part, fresh, hits)
+    def _score_fallback(self, task: tuple) -> tuple:
+        """A forked shard failed: mark it down and re-score its pairs
+        through the first live shard (same sampler seed; remote fetches
+        are charged to that shard)."""
+        part, shard_pairs, seed = task
+        self.mark_down(part)
+        return self._score_shard((self.live_shards[0], shard_pairs, seed))
 
-    def _score_forked(self, shards, pairs, scores) -> None:
-        """Fork one child per shard (copy-on-write graph); merge scores,
-        communication deltas and memo deltas in worker order."""
-        ctx = mp.get_context("fork")
-        procs, conns = [], []
-        for part, sel, seed in shards:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_scorer_child,
-                args=(self, part, sel, pairs, seed, child_conn),
-                daemon=True, name=f"repro-scorer-{part}")
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            conns.append(parent_conn)
-        try:
-            for (part, sel, seed), conn, proc in zip(shards, conns, procs):
-                try:
-                    reply = guarded_recv(part, conn, proc, self.timeout_s)
-                except (WorkerDiedError, WorkerTimeoutError) as exc:
-                    # Owner shard is gone mid-query: mark it down and
-                    # re-score its pairs through a surviving shard's
-                    # view (same sampler seed, remote fetches charged
-                    # to the fallback worker).
-                    warnings.warn(
-                        f"scoring shard {part} failed ({exc}); falling "
-                        f"back to a live shard", RuntimeWarning,
-                        stacklevel=2)
-                    self.mark_down(part)
-                    fallback = self.live_shards[0]
-                    shard_scores, fresh, hits = self._score_shard(
-                        fallback, sel, pairs, seed)
-                    scores[sel] = shard_scores
-                    self._absorb_memo(fallback, fresh, hits)
-                    continue
-                shard_scores, delta, fresh, hits = reply
-                scores[sel] = shard_scores
-                self._absorb_memo(part, fresh, hits)
-                self.meters[part].absorb(
-                    CommRecord(feature_bytes=delta[0],
-                               structure_bytes=delta[1],
-                               sync_bytes=delta[2]))
-        finally:
-            for conn in conns:
-                conn.close()
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - hung child
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-
-    def comm_summary(self) -> Dict[str, int]:
-        """Cumulative communication over every ``score`` call so far."""
+    def _total_comm(self) -> CommRecord:
+        """Communication summed over every shard's meter."""
         comm = CommRecord()
         for meter in self.meters:
             comm += meter.total()
-        return comm.to_dict()
+        return comm
 
+    def comm_summary(self) -> Dict[str, int]:
+        """Cumulative communication over every ``score`` call so far."""
+        return self._total_comm().to_dict()
 
-def _scorer_child(scorer: DistributedScorer, part: int, sel: np.ndarray,
-                  pairs: np.ndarray, seed: int, conn) -> None:
-    """Entry point of a forked scoring child: score the shard against
-    the inherited (copy-on-write) scorer state, report scores plus the
-    meter delta the shard charged and the embeddings it computed (the
-    parent folds those into the shard memo so repeated calls stay
-    bit-identical to the in-process backends)."""
-    meter = scorer.meters[part]
-    before = (meter.current.feature_bytes, meter.current.structure_bytes,
-              meter.current.sync_bytes)
-    try:
-        shard_scores, fresh, hits = scorer._score_shard(part, sel, pairs,
-                                                        seed)
-        delta = (meter.current.feature_bytes - before[0],
-                 meter.current.structure_bytes - before[1],
-                 meter.current.sync_bytes - before[2])
-        conn.send((shard_scores, delta, fresh, hits))
-    finally:
-        conn.close()

@@ -11,9 +11,9 @@ last live shard down raises
 no live shards cannot make progress.
 
 :class:`ShardRouter` holds that logic once so the batch and online
-paths cannot drift; :func:`guarded_recv` is the shared bounded pipe
-read both paths use to collect forked shard replies without risking a
-parent hang.
+paths cannot drift.  *How* the routed shards then run (serial, thread
+or forked children) is the job of
+:class:`~repro.distributed.execution.ShardExecutor`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..faults.errors import ClusterDeadError, WorkerDiedError, WorkerTimeoutError
+from ..faults.errors import ClusterDeadError
 
 
 class ShardRouter:
@@ -103,33 +103,3 @@ class ShardRouter:
             owners[still_down] = self.live_shards[0]
         return owners, rerouted
 
-
-def guarded_recv(part: int, conn, proc, timeout_s: float,
-                 context: str = "score"):
-    """Read a forked shard child's reply without risking a parent hang.
-
-    Polls in short slices, probing child liveness between slices, and
-    gives up after ``timeout_s`` — the sanctioned direct pipe read for
-    fork-per-shard replies (mirrors the training backend's guarded
-    receive).  Raises :class:`WorkerDiedError` when the child is gone,
-    :class:`WorkerTimeoutError` past the deadline.
-    """
-    import time
-
-    deadline = time.monotonic() + timeout_s
-    while True:
-        if conn.poll(0.05):  # lint: disable=R106
-            try:
-                return conn.recv()  # lint: disable=R106
-            except (EOFError, OSError) as exc:
-                raise WorkerDiedError(part, context) from exc
-        if not proc.is_alive():
-            # Drain anything flushed between the poll and death.
-            if conn.poll(0):  # lint: disable=R106
-                try:
-                    return conn.recv()  # lint: disable=R106
-                except (EOFError, OSError) as exc:
-                    raise WorkerDiedError(part, context) from exc
-            raise WorkerDiedError(part, context)
-        if time.monotonic() > deadline:
-            raise WorkerTimeoutError(part, context, timeout_s)

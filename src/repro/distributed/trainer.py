@@ -227,11 +227,8 @@ class TrainConfig:
                 "staleness to schedule)", RuntimeWarning, stacklevel=2)
             self.sync = "grad"
             self.sync_plan = None
-        from .backends import BACKEND_NAMES
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"backend must be one of {BACKEND_NAMES}, "
-                f"got {self.backend!r}")
+        from .execution import check_backend
+        check_backend(self.backend)
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0")
         if self.num_workers == 1 and self.backend != "serial":

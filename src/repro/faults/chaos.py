@@ -259,11 +259,10 @@ def run_chaos(
     per case; raises :class:`ChaosError` if any case violated an
     invariant.
     """
-    from ..distributed.backends import BACKEND_NAMES
+    from ..distributed.execution import check_backend
 
     for backend in backends:
-        if backend not in BACKEND_NAMES:
-            raise ValueError(f"unknown backend {backend!r}")
+        check_backend(backend)
     if plans is None:
         plans = builtin_plans(num_workers=workers, seed=seed)
     if recoveries is None:

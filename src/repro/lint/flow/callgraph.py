@@ -20,7 +20,9 @@ from .symbols import FunctionInfo, ModuleInfo, ProjectIndex
 #: Methods that execute their function argument on another thread or
 #: process — the roots of the worker cone.
 _SUBMIT_METHODS = {"submit", "map", "apply_async", "starmap"}
-_SPAWN_CALLS = {"Thread", "Process"}
+#: Constructors/helpers whose ``target=`` runs in a new thread or
+#: process (``fork_child`` is :mod:`repro.distributed.execution`'s).
+_SPAWN_CALLS = {"Thread", "Process", "fork_child"}
 
 
 @dataclass
@@ -83,7 +85,7 @@ class CallGraph:
                 and func.attr in _SUBMIT_METHODS and node.args):
             for target in self._work_item_targets(mod, info, node.args[0]):
                 self.worker_roots.append(target)
-        # Thread(target=fn) / Process(target=fn) / ctx.Process(target=fn)
+        # Thread(target=fn) / ctx.Process(target=fn) / fork_child(target=fn)
         callee_name = (func.attr if isinstance(func, ast.Attribute)
                        else func.id if isinstance(func, ast.Name) else None)
         if callee_name in _SPAWN_CALLS:

@@ -18,7 +18,8 @@ from .registry import Rule, register
 
 @register
 class UnguardedWorkerIORule(Rule):
-    """R106: unguarded worker I/O in ``repro.distributed``.
+    """R106: unguarded worker I/O in ``repro.distributed``,
+    ``repro.serve`` and ``repro.stream``.
 
     Flags two hang/mask hazards on the worker-communication path:
 
@@ -27,10 +28,10 @@ class UnguardedWorkerIORule(Rule):
       error, silently converting a detectable worker death into a
       corrupt run.  Catch the specific pipe/process errors instead.
     * unbounded ``.recv()`` calls — a raw ``Pipe.recv()`` blocks
-      forever when the peer was SIGKILLed.  Route reads through the
-      backend's guarded receive (poll + liveness probe + deadline);
-      the few sanctioned call sites inside that helper carry a
-      ``# lint: disable=R106`` comment.
+      forever when the peer was SIGKILLed.  Route reads through
+      :func:`repro.distributed.execution.guarded_recv` (poll +
+      liveness probe + deadline); the few sanctioned call sites
+      inside that helper carry a ``# lint: disable=R106`` comment.
     """
 
     rule_id = "R106"
@@ -39,8 +40,10 @@ class UnguardedWorkerIORule(Rule):
                    "worker-communication path")
 
     def applies_to(self, modpath: str) -> bool:
-        """Only the distributed layer talks to worker pipes."""
-        return modpath.startswith("repro/distributed/")
+        """The layers that run shard work: training, serving and
+        streaming."""
+        return modpath.startswith(("repro/distributed/", "repro/serve/",
+                                   "repro/stream/"))
 
     def check(self, tree: ast.AST, modpath: str) -> Iterable:
         """Yield findings for one parsed module."""

@@ -35,7 +35,7 @@ from .artifact import (
     predictor_kind_of,
 )
 from .cache import LRUCache
-from .cluster import SERVE_BACKENDS, ServingCluster
+from .cluster import ServingCluster
 from .requests import (
     Request,
     RequestOutcome,
@@ -59,7 +59,6 @@ __all__ = [
     "OpenLoopWorkload",
     "Request",
     "RequestOutcome",
-    "SERVE_BACKENDS",
     "ScoreRequest",
     "ServableArtifact",
     "ServeFaultSchedule",

@@ -19,10 +19,11 @@ from typing import List, Optional
 import numpy as np
 
 from ..api import Session
+from ..distributed.execution import BACKEND_NAMES
 from ..distributed.store import RemoteGraphStore
 from ..faults.plan import FaultEvent, FaultPlan
 from ..graph.generators import synthetic_lp_graph
-from .cluster import SERVE_BACKENDS, ServingCluster
+from .cluster import ServingCluster
 from .workload import OpenLoopWorkload, synthetic_requests
 
 
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7,
                         help="workload + model seed (default 7)")
     parser.add_argument("--backends", nargs="+", metavar="NAME",
-                        default=list(SERVE_BACKENDS),
+                        default=list(BACKEND_NAMES),
                         help="backends to compare (default: all three)")
     return parser
 

@@ -18,6 +18,9 @@ are bit-identical across execution backends:
    numbers depend only on the artifact and the plan, never on worker
    interleaving, so the serial, thread and process backends produce
    byte-identical :class:`~repro.serve.requests.ServeReport` digests.
+   Shards run through the shared
+   :class:`~repro.distributed.execution.ShardExecutor`; a forked
+   shard that dies is recomputed in the parent.
 
 Serve handlers never touch the raw graph (lint rule R107): embeddings
 come from the artifact's table, and top-k neighbor exclusion goes
@@ -27,43 +30,20 @@ with every fetch charged to the communication meter.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..distributed.comm import FEATURE_ITEMSIZE, CommMeter
-from ..distributed.routing import ShardRouter, guarded_recv
+from ..distributed.execution import ShardExecutor, resolve_backend
+from ..distributed.routing import ShardRouter
 from ..distributed.timeline import HardwareModel
-from ..faults.errors import WorkerDiedError, WorkerTimeoutError
 from ..faults.plan import FaultPlan
 from ..nn.tensor import Tensor
 from .artifact import ServableArtifact
 from .cache import LRUCache
 from .requests import RequestOutcome, ScoreRequest, ServeReport
 from .scheduler import Flush, MicroBatchScheduler, ServeFaultSchedule
-
-#: Execution backends a cluster can serve on.
-SERVE_BACKENDS = ("serial", "thread", "process")
-
-
-def _resolve_backend(name: str) -> str:
-    """Validate the backend name, degrading ``process`` to ``serial``
-    on platforms without the fork start method (same rule as
-    :func:`repro.distributed.backends.make_backend`)."""
-    if name not in SERVE_BACKENDS:
-        raise ValueError(
-            f"unknown serve backend {name!r}; expected one of "
-            f"{SERVE_BACKENDS}")
-    if name == "process" and "fork" not in mp.get_all_start_methods():
-        warnings.warn(
-            "serve backend 'process' needs the fork start method; "
-            "degrading to 'serial'", RuntimeWarning, stacklevel=3)
-        return "serial"
-    return name
-
 
 class ServingCluster:
     """Owner-routed, micro-batched serving over a frozen artifact.
@@ -115,7 +95,7 @@ class ServingCluster:
         timeout_s: float = 30.0,
     ) -> None:
         self.artifact = artifact
-        self.backend = _resolve_backend(backend)
+        self.backend = resolve_backend(backend)
         self.store = store
         self.max_batch = int(max_batch)
         self.max_delay_s = float(max_delay_s)
@@ -342,16 +322,12 @@ class ServingCluster:
         by_shard: Dict[int, List[Flush]] = {}
         for flush in flushes:
             by_shard.setdefault(flush.shard, []).append(flush)
-        shards = sorted(by_shard)
-        if self.backend == "serial" or len(shards) <= 1:
-            replies = [self._execute_shard(by_shard[s]) for s in shards]
-        elif self.backend == "thread":
-            with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-                futures = [pool.submit(self._execute_shard, by_shard[s])
-                           for s in shards]
-                replies = [f.result() for f in futures]
-        else:
-            replies = self._execute_forked(shards, by_shard)
+        # The plan is frozen, so a shard whose forked child fails is
+        # recomputed in the parent bit-identically.
+        replies = ShardExecutor(
+            self.backend, self.timeout_s, name="repro-serve").map(
+                self._execute_shard, [by_shard[s] for s in sorted(by_shard)],
+                fallback=self._execute_shard)
         for reply in replies:
             for index, score, topk_nodes, topk_scores in reply:
                 outcome = outcomes[index]
@@ -439,46 +415,6 @@ class ServingCluster:
         """The request object for outcome ``index`` in this flush."""
         return flush.meta["requests"][index]
 
-    def _execute_forked(self, shards: List[int],
-                        by_shard: Dict[int, List[Flush]]) -> List[list]:
-        """Fork one child per shard (copy-on-write table); collect
-        replies in shard order, recomputing in the parent if a child
-        dies — the plan is frozen, so the fallback is bit-identical."""
-        ctx = mp.get_context("fork")
-        procs, conns = [], []
-        for shard in shards:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_serve_child,
-                args=(self, by_shard[shard], child_conn),
-                daemon=True, name=f"repro-serve-{shard}")
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            conns.append(parent_conn)
-        replies: List[list] = []
-        try:
-            for shard, conn, proc in zip(shards, conns, procs):
-                try:
-                    replies.append(guarded_recv(shard, conn, proc,
-                                                self.timeout_s,
-                                                context="serve"))
-                except (WorkerDiedError, WorkerTimeoutError) as exc:
-                    warnings.warn(
-                        f"serve replica {shard} failed ({exc}); "
-                        "recomputing its flushes in the parent",
-                        RuntimeWarning, stacklevel=2)
-                    replies.append(self._execute_shard(by_shard[shard]))
-        finally:
-            for conn in conns:
-                conn.close()
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():  # pragma: no cover - hung child
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-        return replies
-
     # -- phase 3: observability ------------------------------------------
 
     def _observe(self, report: ServeReport, flushes: List[Flush]) -> None:
@@ -506,13 +442,3 @@ class ServingCluster:
         obs.gauge("serve.queue_depth").set(
             report.counters.get("max_queue_depth", 0))
 
-
-def _serve_child(cluster: ServingCluster, flushes: List[Flush],
-                 conn) -> None:
-    """Entry point of a forked serve child: evaluate the shard's
-    frozen flush plan against the inherited (copy-on-write) embedding
-    table and ship the result rows back."""
-    try:
-        conn.send(cluster._execute_shard(flushes))
-    finally:
-        conn.close()

@@ -26,11 +26,11 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..distributed.execution import BACKEND_NAMES
 from ..faults.plan import FaultEvent, FaultPlan
 from ..graph.generators import synthetic_lp_graph
 from ..nn.models import build_model
 from ..partition.registry import PartitionSpec
-from ..serve.cluster import SERVE_BACKENDS
 from .driver import StreamConfig, StreamDriver
 
 
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=7,
                         help="stream + model seed (default 7)")
     parser.add_argument("--backends", nargs="+", metavar="NAME",
-                        default=list(SERVE_BACKENDS),
+                        default=list(BACKEND_NAMES),
                         help="backends to compare (default: all three)")
     return parser
 

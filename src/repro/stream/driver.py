@@ -43,6 +43,7 @@ import numpy as np
 
 from ..checkpoint.store import CheckpointStore
 from ..distributed.comm import CommMeter
+from ..distributed.execution import check_backend
 from ..distributed.store import RemoteGraphStore
 from ..faults.plan import FaultPlan
 from ..graph.graph import Graph
@@ -52,7 +53,7 @@ from ..serve.artifact import (
     artifact_from_table,
     predictor_kind_of,
 )
-from ..serve.cluster import SERVE_BACKENDS, ServingCluster
+from ..serve.cluster import ServingCluster
 from ..serve.workload import OpenLoopWorkload, synthetic_requests
 from .errors import StreamError, StreamStateError
 from .mutable import MutableGraph
@@ -275,10 +276,7 @@ class StreamDriver:
                  num_parts: int, config: StreamConfig,
                  backend: str = "serial", observer=None,
                  model_spec: Optional[Dict[str, object]] = None) -> None:
-        if backend not in SERVE_BACKENDS:
-            raise ValueError(
-                f"unknown stream backend {backend!r}; expected one of "
-                f"{SERVE_BACKENDS}")
+        check_backend(backend)
         if graph.features is None:
             raise StreamError(
                 "streaming needs node features (the GNN re-embeds "

@@ -498,6 +498,15 @@ class TestUnguardedWorkerIORule:
             if f.rule_id == "R106"]
         assert findings == []
 
+    def test_flags_raw_recv_in_serve_and_stream(self):
+        from repro.lint import lint_source
+
+        source = "def pump(conn):\n    return conn.recv()\n"
+        for modpath in ("repro/serve/replica.py", "repro/stream/pump.py"):
+            findings = [f for f in lint_source(source, modpath=modpath)
+                        if f.rule_id == "R106"]
+            assert [f.line for f in findings] == [2], modpath
+
     def test_suppression_comment_respected(self):
         from repro.lint import lint_source
 
@@ -515,5 +524,16 @@ class TestUnguardedWorkerIORule:
 
         src = Path(__file__).resolve().parents[1] / "src"
         findings = lint_paths([src / "repro" / "distributed"],
+                              select=["R106"])
+        assert findings == []
+
+    def test_repo_serve_and_stream_layers_are_clean(self):
+        from pathlib import Path
+
+        from repro.lint.engine import lint_paths
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        findings = lint_paths([src / "repro" / "serve",
+                               src / "repro" / "stream"],
                               select=["R106"])
         assert findings == []

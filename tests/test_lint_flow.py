@@ -380,3 +380,29 @@ def test_unknown_deep_analysis_id_raises():
 
     with pytest.raises(KeyError):
         analyze_sources(F203_SOURCES, select=["F999"])
+
+
+# ----------------------------------------------------------------------
+# The worker cone on the real tree
+# ----------------------------------------------------------------------
+
+
+def test_real_tree_cone_keeps_shard_functions():
+    """Shard functions handed to ``ShardExecutor.map`` stay worker
+    roots, so F202/F204 keep checking scoring and serving code."""
+    from pathlib import Path
+
+    from repro.lint.engine import _iter_python_files, _module_path
+    from repro.lint.flow.callgraph import CallGraph
+    from repro.lint.flow.symbols import ProjectIndex
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    sources = {_module_path(f): f.read_text(encoding="utf-8")
+               for f in sorted(_iter_python_files(src))}
+    cone, _ = CallGraph(ProjectIndex.from_sources(sources)).worker_reachable()
+    for qname in (
+            "repro.distributed.inference.DistributedScorer._score_shard",
+            "repro.serve.cluster.ServingCluster._execute_shard",
+            "repro.serve.cluster.ServingCluster._execute_group",
+            "repro.distributed.backends._child_main"):
+        assert qname in cone, qname
