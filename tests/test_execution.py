@@ -30,6 +30,7 @@ from repro.serve import OpenLoopWorkload, ServingCluster, synthetic_requests
 
 HAS_FORK = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAS_FORK, reason="needs fork")
+PARENT_PID = os.getpid()
 
 
 def _square(task):
@@ -46,9 +47,6 @@ class _Fallback:
         assert os.getpid() == PARENT_PID
         self.calls.append(task)
         return task * task
-
-
-PARENT_PID = os.getpid()
 
 
 def _dies_in_child(task):
