@@ -40,6 +40,9 @@ python scripts/bench.py --smoke --suite partition
 python scripts/bench.py --smoke --suite checkpoint
 python scripts/bench.py --smoke --suite stream
 
+echo "== perfbench selftest (every wrapped call site still in place) =="
+python3 perfbench/run.py --selftest
+
 echo "== docs links =="
 python scripts/check_links.py
 

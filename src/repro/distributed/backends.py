@@ -54,7 +54,14 @@ from ..faults.errors import (
 )
 from .comm import CommRecord
 from .execution import fork_child, guarded_recv, reap, resolve_backend
-from .sync import average_gradients, average_models, sync_bytes_per_worker
+from .sync import (
+    average_gradients,
+    average_models,
+    charge_sync,
+    count_sync_round,
+    mean_gradients,
+    mean_states,
+)
 
 #: Keep shared-memory segments (and the ndarray views into them) alive
 #: for the life of the process: graphs handed out by a ProcessBackend
@@ -155,9 +162,10 @@ class ExecutionBackend:
         raise NotImplementedError
 
     def apply_gradients(self, participating: Sequence[bool],
-                        topology: str, obs=None) -> None:
-        """Average participants' gradients; every replica receives
-        the mean (the gradient-sync barrier)."""
+                        topology: str, obs=None, live=None) -> None:
+        """Average participants' gradients; every live replica receives
+        the mean (the gradient-sync barrier).  ``live`` marks the
+        workers elastic recovery kept (``None``: all)."""
         raise NotImplementedError
 
     def step_all(self) -> None:
@@ -169,9 +177,11 @@ class ExecutionBackend:
         mode trains locally between syncs)."""
         raise NotImplementedError
 
-    def sync_models(self, topology: str, obs=None) -> None:
-        """FedAvg model averaging across all replicas (the model-sync
-        barrier)."""
+    def sync_models(self, topology: str, obs=None, participating=None,
+                    live=None) -> None:
+        """FedAvg model averaging across replicas (the model-sync
+        barrier): the mean over ``participating`` (``None``: all)
+        reaches every ``live`` replica."""
         raise NotImplementedError
 
     # -- asynchronous sync-mode primitives ------------------------------
@@ -514,30 +524,19 @@ class ProcessBackend(ExecutionBackend):
     child the same mapping, so feature reads never cross a pickle
     boundary and the matrix exists once in physical memory.  Each child
     then owns its worker outright — batch loader, negative/neighbor
-    samplers, model replica, optimizer and meter — and speaks a small
-    command protocol over a pipe:
-
-    ``("epoch",)``                    reset caches + iterator
-    ``("draw",)``                     draw next batch  → has-batch flag
-    ``("train", ok, want_grads)``     train/discard    → loss, edges,
-                                      comm delta, optional grad dict
-    ``("grads", avg, step)``          receive averaged grads (+ step)
-    ``("step",)``                     local optimizer step
-    ``("get_model",)``                → state dict
-    ``("set_model", state)``          load synchronized weights
-    ``("lr", factor)``                decay learning rate
-    ``("ffwd", n)``                   skip n batches (warm respawn)
-    ``("ping",)``                     liveness probe   → pong
-    ``("snapshot", epoch)``           → serialized worker checkpoint
-    ``("load_snapshot", payload)``    rehydrate from a checkpoint
-    ``("replay", cmds)``              re-execute silently → ack
-    ``("stop",)``                     exit
+    samplers, model replica, optimizer and meter — in a
+    :class:`_WorkerHost`, whose methods the parent calls by name: it
+    sends ``(method, args)`` and, unless the method is one-way, the
+    child answers ``(method, result)``.  Round-wide exchanges go
+    through :meth:`_gather`: send to every worker, then collect the
+    replies in worker order.
 
     The parent performs every cross-worker reduction (gradient mean,
-    model mean) itself, iterating replicas in worker order with the
-    same float operation order as :func:`~repro.distributed.sync`, and
-    absorbs each child's communication deltas into the parent-side
-    meters — hence bit-identical metrics and byte-identical ledgers.
+    model mean, sync-byte charge) itself, in worker order, through the
+    same :mod:`~repro.distributed.sync` functions the in-process
+    backends use, and absorbs each child's communication deltas into
+    the parent-side meters — hence bit-identical metrics and
+    byte-identical ledgers.
 
     **Fault tolerance.**  Every pipe read runs through
     :func:`~repro.distributed.execution.guarded_recv`: it polls with a
@@ -554,7 +553,7 @@ class ProcessBackend(ExecutionBackend):
     * ``restore`` — respawn, rehydrate from the worker's last periodic
       checkpoint (``TrainConfig.checkpoint_every`` epochs, serialized
       child-side through :mod:`repro.nn.serialize`) and silently replay
-      the parent's command log since that checkpoint — deterministic
+      the parent's call log since that checkpoint — deterministic
       compute makes the rebuilt child bit-identical to the lost one.
     * ``elastic`` — the worker is removed; collectives reweight over
       the survivors.
@@ -564,7 +563,7 @@ class ProcessBackend(ExecutionBackend):
     parallel = True
     child_owned_state = True
 
-    #: Commands recorded in the per-worker replay log (restore policy).
+    #: Methods recorded in the per-worker replay log (restore policy).
     _REPLAYABLE = frozenset((
         "epoch", "draw", "train", "grads", "step", "get_model",
         "set_model", "lr", "ffwd"))
@@ -584,7 +583,7 @@ class ProcessBackend(ExecutionBackend):
         self._checkpoint_every = 1
         self._epoch_index = -1
         self._in_epoch = False
-        self._cmd_log: List[List[tuple]] = []
+        self._call_log: List[List[tuple]] = []
         self._snapshots: List[Optional[bytes]] = []
         self._draws: List[int] = []
         self._recoveries: List[int] = []
@@ -615,7 +614,7 @@ class ProcessBackend(ExecutionBackend):
         self._dead = set()
         self._epoch_index = -1
         self._in_epoch = False
-        self._cmd_log = [[] for _ in range(n)]
+        self._call_log = [[] for _ in range(n)]
         self._snapshots = [None] * n
         self._draws = [0] * n
         self._recoveries = [0] * n
@@ -632,14 +631,8 @@ class ProcessBackend(ExecutionBackend):
     def shutdown(self) -> None:
         """Stop children and release the shared-memory segment name."""
         for i, conn in enumerate(self._conns):
-            if conn is None or i in self._dead:
-                continue
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc, conn in zip(self._procs, self._conns):
-            reap(proc, conn)
+            if conn is not None and i not in self._dead:
+                self._stop(i)
         self._procs, self._conns = [], []
         if self._shm is not None:
             try:
@@ -648,6 +641,15 @@ class ProcessBackend(ExecutionBackend):
                 pass
             self._shm = None
         self.trainer = None
+
+    def _stop(self, i: int, grace_s: float = 5.0) -> None:
+        """Ask child ``i`` to exit (a broken pipe means it already
+        has), then reap it."""
+        try:
+            self._conns[i].send(("stop", ()))
+        except (BrokenPipeError, OSError):
+            pass
+        reap(self._procs[i], self._conns[i], grace_s=grace_s)
 
     # -- guarded pipe I/O -----------------------------------------------
 
@@ -661,70 +663,64 @@ class ProcessBackend(ExecutionBackend):
         if controller is not None:
             controller.count(name, value)
 
-    def _log_cmd(self, i: int, msg: tuple) -> None:
-        """Record a delivered command for restore replay."""
-        if self._logging and msg[0] in self._REPLAYABLE:
-            self._cmd_log[i].append(msg)
-
-    def _raw_send(self, i: int, msg: tuple) -> None:
-        """Send one command; a broken pipe means the child died."""
+    def _raw_send(self, i: int, call: tuple) -> None:
+        """Send one ``(method, args)`` call; a broken pipe means the
+        child died."""
         try:
-            self._conns[i].send(msg)
+            self._conns[i].send(call)
         except (BrokenPipeError, OSError) as err:
-            raise WorkerDiedError(i, f"send {msg[0]!r}") from err
+            raise WorkerDiedError(i, f"send {call[0]!r}") from err
 
-    def _raw_recv(self, i: int, context: str):
-        """Receive with liveness probing and a wall-clock deadline.
-
-        Never blocks indefinitely: polls the pipe with a short period,
-        checks the child process between polls, and raises
-        :class:`WorkerDiedError` on death / :class:`WorkerTimeoutError`
-        once ``fault_timeout_s`` elapses.  This (and ``_raw_send``) is
-        the only sanctioned direct pipe access in the backend.
-        """
-        if self._inbox[i]:
-            return self._inbox[i].pop(0)
-        return self._pipe_recv(i, context)
-
-    def _pipe_recv(self, i: int, context: str):
-        """The guarded pipe read behind :meth:`_raw_recv`."""
-        return guarded_recv(self._conns[i], self._procs[i],
-                            self._timeout_s, i, context)
-
-    def _recv_tagged(self, i: int, want: str, context: str):
-        """Receive the next reply tagged ``want``, buffering any
-        pipelined replies that belong to an earlier request (recovery
-        can interleave with in-flight round traffic)."""
+    def _raw_recv(self, i: int, method: str, context: str):
+        """The result of child ``i``'s next reply to ``method`` — the
+        one read of a child pipe, guarded by
+        :func:`~repro.distributed.execution.guarded_recv`.  Replies to
+        other methods that arrive first (round traffic a recovery
+        interleaves with) wait in the worker's inbox."""
         inbox = self._inbox[i]
-        for k, reply in enumerate(inbox):
-            if reply[0] == want:
-                return inbox.pop(k)
+        for k, (tag, result) in enumerate(inbox):
+            if tag == method:
+                del inbox[k]
+                return result
         while True:
-            reply = self._pipe_recv(i, context)
-            if reply[0] == want:
-                return reply
-            inbox.append(reply)
+            tag, result = guarded_recv(self._conns[i], self._procs[i],
+                                       self._timeout_s, i, context)
+            if tag == method:
+                return result
+            inbox.append((tag, result))
 
-    def _send(self, i: int, msg: tuple, context: str) -> None:
-        """Deliver a one-way command, recovering the worker if the
-        send itself reveals a death."""
+    def _send(self, i: int, call: tuple, context: str) -> None:
+        """Deliver a call (logged for restore replay), recovering the
+        worker if the send itself reveals a death."""
         try:
-            self._raw_send(i, msg)
+            self._raw_send(i, call)
         except WorkerDiedError:
-            if self._recover(i, msg, context, expect_reply=False) is None \
+            if self._recover(i, call, context, expect_reply=False) is None \
                     and i in self._dead:
                 return
-        self._log_cmd(i, msg)
+        if self._logging and call[0] in self._REPLAYABLE:
+            self._call_log[i].append(call)
 
     def _recv(self, i: int, inflight: tuple, context: str):
-        """Receive ``inflight``'s response, running death/timeout
+        """Receive ``inflight``'s result, running death/timeout
         recovery when the child fails mid-request.  Returns ``None``
-        when the worker was removed (elastic) or its contribution
-        dropped."""
+        when the worker was removed (elastic), its contribution
+        dropped, or it trained nothing."""
         try:
-            return self._raw_recv(i, context)
+            return self._raw_recv(i, inflight[0], context)
         except (WorkerDiedError, WorkerTimeoutError):
             return self._recover(i, inflight, context, expect_reply=True)
+
+    def _gather(self, calls: Dict[int, tuple], context: str):
+        """Send ``calls[i]`` to every worker ``i``, then yield
+        ``(i, result)`` in worker order as each reply is read (see
+        :meth:`_recv` for ``None``).  Workers removed by recovery
+        during the sends are skipped."""
+        for i, call in calls.items():
+            self._send(i, call, context)
+        for i, call in calls.items():
+            if i not in self._dead:
+                yield i, self._recv(i, call, context)
 
     # -- death recovery --------------------------------------------------
 
@@ -734,16 +730,16 @@ class ProcessBackend(ExecutionBackend):
 
         Applies ``TrainConfig.recovery``: remove the worker (elastic),
         or respawn it — warm from a survivor (drop/retry) or restored
-        from its last checkpoint plus a silent replay of the command
-        log (restore) — then re-issues ``inflight`` and returns its
-        response (``None`` for one-way commands or lost work).
+        from its last checkpoint plus a silent replay of the call log
+        (restore) — then re-issues ``inflight`` and returns its result
+        (``None`` for one-way calls or lost work).
         """
         trainer = self.trainer
         config = trainer.config
         policy = config.recovery
         controller = self._controller()
         self._count("child_deaths")
-        self._reap(i)
+        reap(self._procs[i], self._conns[i], grace_s=0)
         live_others = [j for j in range(self.num_workers)
                        if j != i and j not in self._dead]
         if policy == "elastic":
@@ -783,27 +779,21 @@ class ProcessBackend(ExecutionBackend):
                 # The contribution is lost; the worker lives on.
                 if controller is not None:
                     controller.record_dropped()
-                return ("result", None)
+                return None
         self._raw_send(i, inflight)
-        return self._raw_recv(i, context)
-
-    def _reap(self, i: int) -> None:
-        """Make sure a failed child is actually dead and reaped."""
-        reap(self._procs[i], self._conns[i], grace_s=0)
+        return self._raw_recv(i, inflight[0], context)
 
     def _respawn_restore(self, i: int, inflight: tuple) -> None:
         """Fork a fresh child, rehydrate it from the last checkpoint
-        and replay the logged commands since — minus the in-flight one,
+        and replay the logged calls since — minus the in-flight one,
         which the caller re-issues for real."""
         self._fork_child(i)
-        log = self._cmd_log[i]
-        replay = list(log)
+        replay = self._call_log[i]
         if replay and replay[-1] == inflight:
             replay = replay[:-1]
-        self._raw_send(i, ("load_snapshot", self._snapshots[i]))
-        self._raw_send(i, ("replay", replay))
-        tag, replayed = self._raw_recv(i, "replay")
-        assert tag == "replayed"
+        self._raw_send(i, ("load_snapshot", (self._snapshots[i],)))
+        self._raw_send(i, ("replay", (replay,)))
+        replayed = self._raw_recv(i, "replay", "replay")
         self._count("restores")
         self._count("replayed_commands", replayed)
 
@@ -816,29 +806,28 @@ class ProcessBackend(ExecutionBackend):
         self._fork_child(i)
         if live_others:
             src = live_others[0]
-            self._raw_send(src, ("get_model",))
-            tag, state = self._recv_tagged(src, "model",
-                                           "get_model (warm respawn)")
-            self._raw_send(i, ("set_model", state))
+            self._raw_send(src, ("get_model", ()))
+            state = self._raw_recv(src, "get_model",
+                                   "get_model (warm respawn)")
+            self._raw_send(i, ("set_model", (state,)))
         if self._in_epoch and not self._exhausted[i]:
-            self._raw_send(i, ("epoch",))
+            self._raw_send(i, ("epoch", ()))
             consumed = self._draws[i]
             if inflight[0] == "draw":
                 # The in-flight draw is re-sent by the caller; it must
                 # not be skipped here.
                 consumed = max(consumed - 1, 0)
             if requeue and self._has_pending[i]:
-                self._raw_send(i, ("ffwd", max(consumed - 1, 0)))
-                self._raw_send(i, ("draw",))
-                tag, has = self._raw_recv(i, "draw (requeue)")
-                assert tag == "drawn"
-                self._has_pending[i] = bool(has)
+                self._raw_send(i, ("ffwd", (max(consumed - 1, 0),)))
+                self._raw_send(i, ("draw", ()))
+                has = self._raw_recv(i, "draw", "draw (requeue)")
+                self._has_pending[i] = has
                 if not has:
                     self._exhausted[i] = True
                 else:
                     self._count("requeued_batches")
             else:
-                self._raw_send(i, ("ffwd", consumed))
+                self._raw_send(i, ("ffwd", (consumed,)))
                 self._has_pending[i] = False
 
     # -- fault-tolerance hooks ------------------------------------------
@@ -855,13 +844,7 @@ class ProcessBackend(ExecutionBackend):
         self._exhausted[worker] = True
         self._has_pending[worker] = False
         self._round_grads.pop(worker, None)
-        conn = self._conns[worker]
-        if conn is not None:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        reap(self._procs[worker], conn, grace_s=0)
+        self._stop(worker, grace_s=0)
 
     def inject_crash(self, worker: int) -> None:
         """SIGKILL the child — a real, unannounced death; detection
@@ -871,21 +854,6 @@ class ProcessBackend(ExecutionBackend):
             return
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=2.0)
-
-    def heartbeat(self) -> List[bool]:
-        """Probe every active child with a ping; False = unresponsive."""
-        alive = []
-        for i in range(self.num_workers):
-            if i in self._dead:
-                alive.append(False)
-                continue
-            try:
-                self._raw_send(i, ("ping",))
-                tag, _ = self._raw_recv(i, "ping")
-                alive.append(tag == "pong")
-            except (WorkerDiedError, WorkerTimeoutError):
-                alive.append(False)
-        return alive
 
     def _active(self) -> List[int]:
         """Worker indices not removed by elastic recovery."""
@@ -899,53 +867,31 @@ class ProcessBackend(ExecutionBackend):
         self._epoch_index += 1
         if (self._logging
                 and self._epoch_index % self._checkpoint_every == 0):
-            self._take_snapshots()
+            # The restore point: checkpoint every active child and
+            # truncate its replay log.
+            payloads = self.snapshot_workers(self._epoch_index, 0)
+            for i, payload in enumerate(payloads):
+                if payload is not None:
+                    self._snapshots[i] = payload
+                    self._call_log[i] = []
+                    self._count("checkpoint_bytes", len(payload))
+            self._count("checkpoints")
         for i in self._active():
-            self._send(i, ("epoch",), "epoch")
+            self._send(i, ("epoch", ()), "epoch")
         self._exhausted = [i in self._dead
                            for i in range(self.num_workers)]
         self._has_pending = [False] * self.num_workers
         self._draws = [0] * self.num_workers
         self._in_epoch = True
 
-    def _take_snapshots(self) -> None:
-        """Pull a serialized checkpoint from every active child and
-        truncate its replay log — the restore point."""
-        for i in self._active():
-            msg = ("snapshot", self._epoch_index)
-            self._send(i, msg, "snapshot")
-            if i in self._dead:
-                continue
-            reply = self._recv(i, msg, "snapshot")
-            if reply is None:
-                continue
-            tag, payload = reply
-            assert tag == "snapshot"
-            self._snapshots[i] = payload
-            self._cmd_log[i] = []
-            self._count("checkpoint_bytes", len(payload))
-        self._count("checkpoints")
-
     def snapshot_workers(self, epoch: int,
                          rnd: int) -> List[Optional[bytes]]:
-        """Pull a serialized state payload from every active child.
-
-        Unlike :meth:`_take_snapshots` (the restore-policy recovery
-        point) this leaves the replay logs untouched — it observes the
-        children without changing any recovery behavior."""
-        out: List[Optional[bytes]] = [None] * self.num_workers
-        for i in self._active():
-            msg = ("snapshot", self._epoch_index)
-            self._send(i, msg, "snapshot")
-            if i in self._dead:
-                continue
-            reply = self._recv(i, msg, "snapshot")
-            if reply is None:
-                continue
-            tag, payload = reply
-            assert tag == "snapshot"
-            out[i] = payload
-        return out
+        """Pull a serialized state payload, positioned at ``(epoch,
+        rnd)``, from every active child; the replay logs are left
+        untouched."""
+        calls = {i: ("snapshot", (epoch, rnd)) for i in self._active()}
+        payloads = dict(self._gather(calls, "snapshot"))
+        return [payloads.get(i) for i in range(self.num_workers)]
 
     def all_exhausted(self) -> bool:
         """True once every child reported an empty iterator."""
@@ -959,16 +905,11 @@ class ProcessBackend(ExecutionBackend):
             # arithmetic sees the in-flight draw on both the send and
             # the receive failure paths.
             self._draws[i] += 1
-            self._send(i, ("draw",), "draw")
-        for i in live:
-            if i in self._dead:
+        for i, has_batch in self._gather({i: ("draw", ()) for i in live},
+                                         "draw"):
+            if has_batch is None:
                 continue
-            reply = self._recv(i, ("draw",), "draw")
-            if reply is None:
-                continue
-            tag, has_batch = reply
-            assert tag == "drawn"
-            self._has_pending[i] = bool(has_batch)
+            self._has_pending[i] = has_batch
             if not has_batch:
                 self._exhausted[i] = True
         return [self._has_pending[i] and not self._exhausted[i]
@@ -980,31 +921,19 @@ class ProcessBackend(ExecutionBackend):
         losses, edge counts, grads and comm deltas in worker order."""
         trainer = self.trainer
         want_grads = trainer.config.sync in ("grad", "ps", "async")
-        pending = [i for i in self._active() if self._has_pending[i]]
-        inflight = {i: ("train", bool(participate[i]), want_grads)
-                    for i in pending}
+        inflight = {i: ("train", (bool(participate[i]), want_grads))
+                    for i in self._active() if self._has_pending[i]}
         started = time.perf_counter()
-        for i in pending:
-            self._send(i, inflight[i], "train")
         out: List[Optional[RoundResult]] = [None] * len(participate)
         self._round_grads = {}
         tasks = 0
-        for i in pending:
-            if i in self._dead:
-                continue
-            reply = self._recv(i, inflight[i], "train")
+        for i, result in self._gather(inflight, "train"):
             self._has_pending[i] = False
-            if reply is None:
+            if result is None:
                 continue
-            tag, payload = reply
-            assert tag == "result"
-            if payload is None:
-                continue
-            loss, edges, delta, grads = payload
+            loss, edges, delta, grads = result
             out[i] = RoundResult(loss, edges)
-            trainer.meters[i].absorb(
-                CommRecord(feature_bytes=delta[0], structure_bytes=delta[1],
-                           sync_bytes=delta[2]))
+            trainer.meters[i].absorb(delta)
             if grads is not None:
                 self._round_grads[i] = grads
             tasks += 1
@@ -1023,59 +952,46 @@ class ProcessBackend(ExecutionBackend):
         active = [self._round_grads[i]
                   for i, ok in enumerate(participating)
                   if ok and i in self._round_grads]
-        if obs is not None:
-            obs.counter("sync.rounds").inc(1)
-            obs.counter("sync.participants").inc(sum(participating))
+        count_sync_round(obs, sum(participating))
         if not active:
             return
-        averaged: Dict[str, Optional[np.ndarray]] = {}
-        for name in active[0]:
-            grads = [g[name] for g in active if g[name] is not None]
-            if grads:
-                averaged[name] = sum(grads) / len(active)
-            else:
-                averaged[name] = None
-        for i in self._active():
-            self._send(i, ("grads", averaged, False), "grads")
+        self._broadcast_mean("grads", mean_gradients(active), topology)
         self._round_grads = {}
-        self._charge_sync(topology)
 
     def step_all(self) -> None:
         """Every live child steps its optimizer."""
         for i in self._active():
-            self._send(i, ("step",), "step")
+            self._send(i, ("step", ()), "step")
 
     def step_participants(self, participating: Sequence[bool]) -> None:
         """Only the round's participants step their optimizers."""
         for i in self._active():
             if participating[i]:
-                self._send(i, ("step",), "step")
+                self._send(i, ("step", ()), "step")
 
     def sync_models(self, topology: str, obs=None, participating=None,
                     live=None) -> None:
         """Parent-side FedAvg: pull live children's weights, average
         participants in worker order, push the mean back to every live
         child."""
-        active = self._active()
-        if participating is None:
-            mask = {i: True for i in active}
-        else:
-            mask = {i: bool(participating[i]) for i in active}
-        if obs is not None:
-            obs.counter("sync.rounds").inc(1)
-            obs.counter("sync.participants").inc(
-                sum(1 for i in active if mask[i]))
-        states = self._gather_states()
-        included = [sd for i, sd in states if mask[i]]
+        mask = [participating is None or bool(participating[i])
+                for i in range(self.num_workers)]
+        count_sync_round(obs, sum(mask[i] for i in self._active()))
+        included = [sd for i, sd in self._gather_states() if mask[i]]
         if not included:
             return
-        averaged = {
-            name: np.mean([sd[name] for sd in included], axis=0)
-            for name in included[0]
-        }
+        self._broadcast_mean("set_model", mean_states(included), topology)
+
+    def _broadcast_mean(self, method: str, mean: Dict[str, np.ndarray],
+                        topology: str) -> None:
+        """Send the round's mean to every live child through ``method``
+        and charge the barrier to the live parent-side meters."""
         for i in self._active():
-            self._send(i, ("set_model", averaged), "set_model")
-        self._charge_sync(topology)
+            self._send(i, (method, (mean,)), method)
+        trainer = self.trainer
+        charge_sync(trainer.meters,
+                    trainer.workers[0].model.parameter_nbytes(), topology,
+                    [i not in self._dead for i in range(self.num_workers)])
 
     def collect_gradients(self, mask: Sequence[bool]
                           ) -> List[Optional[Dict[str, np.ndarray]]]:
@@ -1095,37 +1011,15 @@ class ProcessBackend(ExecutionBackend):
         skipped — elastic recovery already removed them."""
         if worker in self._dead:
             return
-        self._send(worker, ("set_model", state), "set_model")
-
-    def _charge_sync(self, topology: str) -> None:
-        """Charge one sync round to every live parent-side meter (same
-        formula as the in-process ``_charge_sync``)."""
-        trainer = self.trainer
-        active = self._active()
-        per_worker = sync_bytes_per_worker(
-            trainer.workers[0].model.parameter_nbytes(),
-            len(active), topology)
-        for i in active:
-            trainer.meters[i].charge_sync(per_worker)
+        self._send(worker, ("set_model", (state,)), "set_model")
 
     # -- auxiliary hooks ------------------------------------------------
 
     def _gather_states(self) -> List[tuple]:
         """Live children's ``(worker, state_dict)``, in worker order."""
-        active = self._active()
-        for i in active:
-            self._send(i, ("get_model",), "get_model")
-        states = []
-        for i in active:
-            if i in self._dead:
-                continue
-            reply = self._recv(i, ("get_model",), "get_model")
-            if reply is None:
-                continue
-            tag, state = reply
-            assert tag == "model"
-            states.append((i, state))
-        return states
+        calls = {i: ("get_model", ()) for i in self._active()}
+        return [(i, state) for i, state in self._gather(calls, "get_model")
+                if state is not None]
 
     def refresh_eval_model(self) -> None:
         """Load the first live child's weights into the parent replica
@@ -1134,14 +1028,11 @@ class ProcessBackend(ExecutionBackend):
         if not active:
             raise ClusterDeadError("no live worker to evaluate")
         i = active[0]
-        self._send(i, ("get_model",), "get_model")
-        reply = self._recv(i, ("get_model",), "get_model")
-        if reply is None:
+        replies = dict(self._gather({i: ("get_model", ())}, "get_model"))
+        if replies.get(i) is None:
             self.refresh_eval_model()
             return
-        tag, state = reply
-        assert tag == "model"
-        self.trainer.workers[0].model.load_state_dict(state)
+        self.trainer.workers[0].model.load_state_dict(replies[i])
 
     def run_correction(self, hook) -> None:
         """Pull live replicas to the parent, run the server-side hook,
@@ -1152,13 +1043,13 @@ class ProcessBackend(ExecutionBackend):
             models[i].load_state_dict(state)
         hook(models)
         for i in self._active():
-            self._send(i, ("set_model", models[i].state_dict()),
+            self._send(i, ("set_model", (models[i].state_dict(),)),
                        "set_model")
 
     def scale_lr(self, factor: float) -> None:
         """Broadcast the learning-rate decay to every live child."""
         for i in self._active():
-            self._send(i, ("lr", float(factor)), "lr")
+            self._send(i, ("lr", (float(factor),)), "lr")
 
 
 def _share_features(graph):
@@ -1183,107 +1074,117 @@ def _share_features(graph):
     return shm
 
 
+class _WorkerHost:
+    """Worker ``part`` of the inherited trainer inside its forked
+    child, called by name from :class:`ProcessBackend`.  Observability
+    is detached: spans and metrics belong to the parent."""
+
+    #: Methods whose result is not sent back.
+    ONE_WAY = frozenset(("epoch", "ffwd", "grads", "step", "set_model",
+                         "lr", "load_snapshot"))
+
+    def __init__(self, trainer, part: int) -> None:
+        self.trainer = trainer
+        self.worker = worker = trainer.workers[part]
+        self.meter = trainer.meters[part]
+        detached = [worker, worker.negative_sampler, worker.view, self.meter]
+        if trainer.remote_store is not None:
+            detached.append(getattr(trainer.remote_store, "_store",
+                                    trainer.remote_store))
+        for obj in detached:
+            obj.obs = None
+        self.iterator = None
+        self.pending = None
+
+    def epoch(self) -> None:
+        """Reset the feature cache and start the epoch's iterator."""
+        if self.trainer.config.cache_remote_features:
+            self.worker.view.clear_feature_cache()
+        self.iterator = iter(self.worker.loader)
+        self.pending = None
+
+    def draw(self) -> bool:
+        """Draw the next batch; False once the epoch is spent."""
+        self.pending = next(self.iterator, None)
+        return self.pending is not None
+
+    def ffwd(self, n: int) -> None:
+        """Skip ``n`` batches (warm respawn)."""
+        for _ in range(n):
+            next(self.iterator, None)
+
+    def train(self, ok: bool, want_grads: bool):
+        """Train the pending batch (discard it when ``ok`` is False):
+        ``(loss, edges, the batch's CommRecord, grads or None)``, or
+        ``None`` when nothing ran."""
+        pending, self.pending = self.pending, None
+        if pending is None or not ok:
+            return None
+        self.meter.current = CommRecord()
+        loss, edges = self.worker._run_batch(pending, None)
+        grads = None
+        if want_grads:
+            grads = {name: p.grad for name, p
+                     in self.worker.model.named_parameters()}
+        return loss, edges, self.meter.current, grads
+
+    def grads(self, averaged: Dict[str, Optional[np.ndarray]]) -> None:
+        """Load the averaged gradients into the replica."""
+        for name, p in self.worker.model.named_parameters():
+            g = averaged.get(name)
+            p.grad = None if g is None else g.copy()
+
+    def step(self) -> None:
+        """Local optimizer step."""
+        self.worker.optimizer.step()
+
+    def get_model(self) -> Dict[str, np.ndarray]:
+        """The replica's weights."""
+        return self.worker.model.state_dict()
+
+    def set_model(self, state: Dict[str, np.ndarray]) -> None:
+        """Load synchronized weights."""
+        self.worker.model.load_state_dict(state)
+
+    def lr(self, factor: float) -> None:
+        """Decay the learning rate."""
+        self.worker.optimizer.lr *= factor
+
+    def snapshot(self, epoch: int, rnd: int) -> bytes:
+        """Serialized worker checkpoint at position ``(epoch, rnd)``."""
+        from ..faults.snapshot import snapshot_worker
+        return snapshot_worker(self.worker, epoch, rnd).payload
+
+    def load_snapshot(self, payload: bytes) -> None:
+        """Rehydrate the worker from a :meth:`snapshot` payload."""
+        from ..faults.snapshot import WorkerSnapshot, restore_worker
+        restore_worker(self.worker, WorkerSnapshot(
+            payload=payload, epoch=0, round=0))
+
+    def replay(self, calls: Sequence[tuple]) -> int:
+        """Re-run logged ``(method, args)`` calls, dropping their
+        results: after :meth:`load_snapshot`, deterministic compute
+        rebuilds the dead child's state bit for bit."""
+        for method, args in calls:
+            getattr(self, method)(*args)
+        return len(calls)
+
+
 def _child_main(trainer, part: int, conn) -> None:
-    """Entry point of a forked worker process.
-
-    Owns worker ``part`` of the (inherited, copy-on-write) trainer and
-    executes parent commands until ``stop``.  Observability is detached
-    child-side — spans/metrics belong to the parent; the child reports
-    raw deltas instead.
-
-    Commands are dispatched through ``execute`` so the fault layer's
-    ``("replay", cmds)`` can re-run a logged command stream *silently*
-    (state advances, nothing is sent) after ``("load_snapshot", ...)``
-    rehydrates the worker — deterministic compute then reproduces the
-    dead child's state bit for bit.
-    """
-    from ..faults.snapshot import (
-        WorkerSnapshot, restore_worker, snapshot_worker)
-
-    worker = trainer.workers[part]
-    meter = trainer.meters[part]
-    worker.obs = None
-    worker.negative_sampler.obs = None
-    worker.view.obs = None
-    meter.obs = None
-    if trainer.remote_store is not None:
-        inner = getattr(trainer.remote_store, "_store", trainer.remote_store)
-        inner.obs = None
-    state = {"iterator": None, "pending": None}
-
-    def execute(msg: tuple):
-        """Run one command; return ``(tag, payload)`` or ``None``."""
-        cmd = msg[0]
-        if cmd == "epoch":
-            if trainer.config.cache_remote_features:
-                worker.view.clear_feature_cache()
-            state["iterator"] = iter(worker.loader)
-            state["pending"] = None
-        elif cmd == "draw":
-            state["pending"] = next(state["iterator"], None)
-            return ("drawn", state["pending"] is not None)
-        elif cmd == "ffwd":
-            for _ in range(msg[1]):
-                next(state["iterator"], None)
-        elif cmd == "train":
-            _, ok, want_grads = msg
-            pending = state["pending"]
-            state["pending"] = None
-            if pending is None or not ok:
-                return ("result", None)
-            before = (meter.current.feature_bytes,
-                      meter.current.structure_bytes,
-                      meter.current.sync_bytes)
-            loss, edges = worker._run_batch(pending, None)
-            delta = (meter.current.feature_bytes - before[0],
-                     meter.current.structure_bytes - before[1],
-                     meter.current.sync_bytes - before[2])
-            grads = None
-            if want_grads:
-                grads = {name: p.grad for name, p
-                         in worker.model.named_parameters()}
-            return ("result", (loss, edges, delta, grads))
-        elif cmd == "grads":
-            _, averaged, do_step = msg
-            for name, p in worker.model.named_parameters():
-                g = averaged.get(name)
-                p.grad = None if g is None else g.copy()
-            if do_step:
-                worker.optimizer.step()
-        elif cmd == "step":
-            worker.optimizer.step()
-        elif cmd == "get_model":
-            return ("model", worker.model.state_dict())
-        elif cmd == "set_model":
-            worker.model.load_state_dict(msg[1])
-        elif cmd == "lr":
-            worker.optimizer.lr *= msg[1]
-        elif cmd == "ping":
-            return ("pong", part)
-        elif cmd == "snapshot":
-            snap = snapshot_worker(worker, int(msg[1]), 0)
-            return ("snapshot", snap.payload)
-        elif cmd == "load_snapshot":
-            restore_worker(worker, WorkerSnapshot(
-                payload=msg[1], epoch=0, round=0))
-        elif cmd == "replay":
-            for sub in msg[1]:
-                execute(sub)  # silent: responses are discarded
-            return ("replayed", len(msg[1]))
-        else:  # pragma: no cover - protocol error
-            raise RuntimeError(f"unknown backend command {cmd!r}")
-        return None
-
+    """Entry point of a forked worker process: run the parent's
+    ``(method, args)`` calls on a :class:`_WorkerHost` until ``stop``,
+    answering ``(method, result)`` unless the method is one-way."""
+    host = _WorkerHost(trainer, part)
     try:
         while True:
             # Child side: blocking on the parent is safe — parent death
             # closes the pipe and the EOFError below ends the loop.
-            msg = conn.recv()  # lint: disable=R106
-            if msg[0] == "stop":
+            method, args = conn.recv()  # lint: disable=R106
+            if method == "stop":
                 break
-            reply = execute(msg)
-            if reply is not None:
-                conn.send(reply)
+            result = getattr(host, method)(*args)
+            if method not in host.ONE_WAY:
+                conn.send((method, result))
     except (EOFError, KeyboardInterrupt):  # pragma: no cover
         pass
     finally:

@@ -7,8 +7,8 @@ to ``serial`` without ``fork``), :func:`fork_child`,
 :func:`guarded_recv` (poll, liveness probe, deadline) and :func:`reap`
 (join, terminate, kill).  :class:`ShardExecutor` maps a shard function
 over tasks on top of them; the persistent training children of
-:class:`~repro.distributed.backends.ProcessBackend` keep their own
-command protocol but use the same helpers.
+:class:`~repro.distributed.backends.ProcessBackend` answer method
+calls by name on top of the same helpers.
 
 Forked children inherit their task copy-on-write; only replies are
 pickled.

@@ -78,36 +78,24 @@ def average_gradients(
     elastic policy: the cost model sizes the collective to the live
     cluster and dead workers are neither updated nor charged.
     """
-    if obs is not None:
-        obs.counter("sync.rounds").inc(1)
-        obs.counter("sync.participants").inc(
-            sum(participating) if participating is not None else len(models))
     if participating is None:
         participating = [True] * len(models)
+    count_sync_round(obs, sum(participating))
     if live is None:
         live = [True] * len(models)
     active = [m for m, ok in zip(models, participating) if ok]
     if not active:
         return
-    param_lists = [m.parameters() for m in active]
-    for group in zip(*param_lists):
-        grads = [p.grad for p in group if p.grad is not None]
-        if not grads:
-            continue
-        mean = sum(grads) / len(active)
-        for p in group:
-            p.grad = mean.copy()
+    mean = mean_gradients([{name: p.grad for name, p
+                            in m.named_parameters()} for m in active])
     # Every live worker, participant or not, receives the averaged
     # gradient.
-    reference = active[0]
-    state = {name: p.grad for name, p in reference.named_parameters()}
     for model, ok, alive in zip(models, participating, live):
-        if ok or model is reference or not alive:
-            continue
-        for name, p in model.named_parameters():
-            g = state[name]
-            p.grad = None if g is None else g.copy()
-    _charge_sync(models, meters, topology, live)
+        if ok or alive:
+            for name, p in model.named_parameters():
+                g = mean[name]
+                p.grad = None if g is None else g.copy()
+    charge_sync(meters, models[0].parameter_nbytes(), topology, live)
 
 
 def average_models(
@@ -133,18 +121,12 @@ def average_models(
         participating = [True] * len(models)
     if not any(participating):
         return
-    if obs is not None:
-        obs.counter("sync.rounds").inc(1)
-        obs.counter("sync.participants").inc(sum(participating))
-    state_dicts = [m.state_dict() for m, ok in zip(models, participating)
-                   if ok]
-    averaged = {
-        name: np.mean([sd[name] for sd in state_dicts], axis=0)
-        for name in state_dicts[0]
-    }
+    count_sync_round(obs, sum(participating))
+    averaged = mean_states([m.state_dict() for m, ok
+                            in zip(models, participating) if ok])
     for m in models:
         m.load_state_dict(averaged)
-    _charge_sync(models, meters, topology, live)
+    charge_sync(meters, models[0].parameter_nbytes(), topology, live)
 
 
 def broadcast_model(source: LinkPredictionModel,
@@ -176,21 +158,48 @@ def sync_bytes_per_worker(param_nbytes: int, num_workers: int,
         f"'parameter_server'")
 
 
-def _charge_sync(models: Sequence[LinkPredictionModel],
-                 meters: Optional[Sequence[CommMeter]],
-                 topology: str = "allreduce",
-                 live: Optional[Sequence[bool]] = None) -> None:
-    if meters is None or not models:
+def count_sync_round(obs, participants: int) -> None:
+    """Count one barrier round and its participants on ``obs``."""
+    if obs is not None:
+        obs.counter("sync.rounds").inc(1)
+        obs.counter("sync.participants").inc(participants)
+
+
+def mean_gradients(grads: Sequence[Dict[str, Optional[np.ndarray]]]
+                   ) -> Dict[str, Optional[np.ndarray]]:
+    """Element-wise mean of participants' named gradients.
+
+    Summed in participant order and divided by the participant count
+    (a participant without a gradient counts as zero); ``None`` where
+    no participant has one.
+    """
+    mean: Dict[str, Optional[np.ndarray]] = {}
+    for name in grads[0]:
+        present = [g[name] for g in grads if g[name] is not None]
+        mean[name] = sum(present) / len(grads) if present else None
+    return mean
+
+
+def mean_states(states: Sequence[Dict[str, np.ndarray]]
+                ) -> Dict[str, np.ndarray]:
+    """Element-wise mean of participants' named weights (FedAvg)."""
+    return {name: np.mean([sd[name] for sd in states], axis=0)
+            for name in states[0]}
+
+
+def charge_sync(meters: Optional[Sequence[Optional[CommMeter]]],
+                param_nbytes: int, topology: str = "allreduce",
+                live: Optional[Sequence[bool]] = None) -> None:
+    """Charge one barrier round to every live meter (``live`` None:
+    all of them), the collective sized to the live cluster."""
+    if meters is None:
         return
-    cluster = sum(live) if live is not None else len(models)
-    per_worker = sync_bytes_per_worker(models[0].parameter_nbytes(),
-                                       cluster, topology)
-    for i, meter in enumerate(meters):
-        if meter is None:
-            continue
-        if live is not None and i < len(live) and not live[i]:
-            continue
-        meter.charge_sync(per_worker)
+    if live is None:
+        live = [True] * len(meters)
+    per_worker = sync_bytes_per_worker(param_nbytes, sum(live), topology)
+    for meter, alive in zip(meters, live):
+        if meter is not None and alive:
+            meter.charge_sync(per_worker)
 
 
 def ps_message_nbytes(param_nbytes: int) -> int:

@@ -42,8 +42,8 @@ Recovery policies
 
 On the process backend, planned crashes are executed *for real*: the
 controller SIGKILLs the worker's child process and the backend's
-death-detection/respawn machinery (heartbeats, pipe timeouts, command
-log replay) carries out the recovery.
+death-detection/respawn machinery (guarded pipe reads with liveness
+probes and timeouts, call-log replay) carries out the recovery.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ class FaultController:
         elif self.policy == "restore":
             if child_owned:
                 # Real kill: the backend rehydrates the child from its
-                # last snapshot and replays the command log.  Shim
+                # last snapshot and replays the call log.  Shim
                 # crash: the result is durable child-side, so leaving
                 # the mask on is the re-delivery.
                 pass

@@ -119,6 +119,9 @@ class CallGraph:
         if isinstance(func, ast.Name):
             found = self.index.resolve_name(mod, func.id)
             return [found] if found is not None else []
+        if (isinstance(func, ast.Call) and isinstance(func.func, ast.Name)
+                and func.func.id == "getattr" and func.args):
+            return self._dispatch_targets(mod, info, func.args[0])
         if isinstance(func, ast.Attribute):
             owner = func.value
             if isinstance(owner, ast.Name):
@@ -128,6 +131,25 @@ class CallGraph:
                 # self.obj.meth / module.sub.meth: duck-typed fallback.
                 return list(self.index.methods_by_name.get(func.attr, []))
         return []
+
+    def _dispatch_targets(self, mod: ModuleInfo, info: FunctionInfo,
+                          receiver: ast.AST) -> List[FunctionInfo]:
+        """Targets of a by-name ``getattr(receiver, name)(...)`` call:
+        every method of the receiver's class — the enclosing class for
+        ``self``, else the project class a local ``receiver = Cls(...)``
+        constructs."""
+        if not isinstance(receiver, ast.Name):
+            return []
+        cls_name = info.cls if receiver.id == "self" else None
+        for node in ast.walk(info.node):
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and any(isinstance(t, ast.Name) and t.id == receiver.id
+                            for t in node.targets)):
+                cls_name = node.value.func.id
+        cinfo = self.index.resolve_class(mod, cls_name) if cls_name else None
+        return list(cinfo.methods.values()) if cinfo else []
 
     # -- queries --------------------------------------------------------
 

@@ -214,13 +214,18 @@ class ProjectIndex:
         target = mod.imports.get(name)
         if target and target in self.functions:
             return self.functions[target]
-        # ``from .mod import Cls`` followed by ``Cls(...)``: resolve to
-        # the class __init__ when one exists.
+        # ``Cls(...)`` (local or imported): resolve to the class
+        # __init__ when one exists.
+        cinfo = self.resolve_class(mod, name)
+        return cinfo.methods.get("__init__") if cinfo else None
+
+    def resolve_class(self, mod: ModuleInfo, name: str
+                      ) -> Optional[ClassInfo]:
+        """The project class ``name`` is bound to in ``mod``, if any."""
+        target = mod.imports.get(name)
         if target and target in self.classes:
-            return self.classes[target].methods.get("__init__")
-        if name in mod.classes:
-            return mod.classes[name].methods.get("__init__")
-        return None
+            return self.classes[target]
+        return mod.classes.get(name)
 
     def resolve_attribute(self, mod: ModuleInfo, owner: str, attr: str,
                           cls: Optional[str] = None

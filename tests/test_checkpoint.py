@@ -131,6 +131,31 @@ class TestCrashResumeBitIdentity:
         assert all(o.resumed_from is not None for o in outcomes)
 
 
+class TestWorkerPayloadsMatchSerial:
+    @pytest.mark.parametrize("crash", [False, True],
+                             ids=["uninterrupted", "crash-resume"])
+    def test_process_worker_payloads_equal_serial(self, split, tmp_path,
+                                                  crash):
+        """Process children serialize their own workers; each payload
+        (model, optimizer, RNG and the ``(epoch, round)`` position) is
+        byte-equal to the serial backend's, resumed run included."""
+        payloads = {}
+        for backend in ("serial", "process"):
+            ckpt_dir = str(tmp_path / backend)
+            config = _config("barrier", backend, checkpoint_dir=ckpt_dir,
+                             checkpoint_every=1)
+            if crash:
+                _crash_then_resume(split, config, ckpt_dir)
+            else:
+                _trainer(split, config).train()
+            _, state = load_checkpoint(ckpt_dir)
+            payloads[backend] = {key: value.tobytes()
+                                 for key, value in state.items()
+                                 if key.startswith("worker.")}
+        assert len(payloads["serial"]) == 2
+        assert payloads["process"] == payloads["serial"]
+
+
 class TestMidEpochRoundTrip:
     @pytest.mark.parametrize("sync", SYNC_MODES)
     def test_mid_epoch_snapshot_round_trips(self, split, sync, tmp_path):

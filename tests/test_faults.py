@@ -21,6 +21,7 @@ Covers the acceptance criteria of the ``repro.faults`` PR:
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ HAS_FORK = "fork" in mp.get_all_start_methods()
 
 needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="process backend needs the fork start method")
+PARENT_PID = os.getpid()
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +342,50 @@ class TestProcessBackendKills:
                         recovery="retry")
         assert result.faults.get("requeued_batches", 0) >= 1
         assert result.dropped_contributions == 0
+
+    @pytest.mark.parametrize("recovery", RECOVERY_POLICIES)
+    def test_child_dies_mid_batch(self, split, recovery, tmp_path,
+                                  monkeypatch):
+        """Worker 0's child exits inside its first batch, so worker
+        1's ``train`` reply is still outstanding when a warm respawn
+        asks worker 1 for its model: the reply must wait in the inbox
+        for its own receive."""
+        from repro.distributed.trainer import _Worker
+
+        run_batch = _Worker._run_batch
+        marker = tmp_path / "died"
+
+        def dies_once_in_child(worker, batch, obs):
+            if (worker.part == 0 and os.getpid() != PARENT_PID
+                    and not marker.exists()):
+                marker.touch()
+                os._exit(1)
+            return run_batch(worker, batch, obs)
+
+        monkeypatch.setattr(_Worker, "_run_batch", dies_once_in_child)
+
+        def run():
+            marker.unlink(missing_ok=True)
+            result = _train(split, backend="process", sync="grad",
+                            plan=FaultPlan.empty(), recovery=recovery)
+            assert marker.exists()
+            assert result.faults["child_deaths"] == 1
+            assert np.isfinite(result.test.auc)
+            return result
+
+        result = run()
+        if recovery == "restore":
+            monkeypatch.setattr(_Worker, "_run_batch", run_batch)
+            clean = _train(split, backend="process", sync="grad",
+                           plan=FaultPlan.empty())
+            assert result.faults["restores"] == 1
+            assert (tuple(s.mean_loss for s in result.history)
+                    == tuple(s.mean_loss for s in clean.history))
+            assert result.test.auc == clean.test.auc
+        elif recovery in ("drop", "retry"):
+            assert run().digest() == result.digest()
+        else:
+            assert result.faults["elastic_removed"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,58 @@ def test_f202_process_spawn_counts_as_worker_root():
     assert _lines(findings, "F202") == [("repro/flowfix/proc.py", 9)]
 
 
+def test_f202_by_name_dispatch_reaches_host_methods():
+    """``getattr(host, name)(...)`` in a worker links to every method
+    of the class ``host`` was built from, and ``getattr(self, name)``
+    to every method of the enclosing class."""
+    sources = _dedent({
+        "repro/flowfix/host.py": '''\
+        """Fixture: a forked child dispatching calls by name."""
+        from multiprocessing import Process
+
+        SEEN = {}
+
+
+        class Host:
+            """Methods the child calls by name."""
+
+            def record(self, key):
+                """TP: reached only through the child's dispatch."""
+                SEEN[key] = True
+
+
+        class Ledger:
+            """Dispatches to its own methods by name."""
+
+            def apply(self, name, key):
+                """Calls one of this class's methods by name."""
+                getattr(self, name)(key)
+
+            def stamp(self, key):
+                """TP: reached only through ``apply``'s dispatch."""
+                SEEN[key] = False
+
+
+        def child(method, args):
+            """Forked worker: dispatch one call by name."""
+            host = Host()
+            getattr(host, method)(*args)
+            ledger = Ledger()
+            ledger.apply("stamp", 0)
+
+
+        def launch(method, args):
+            """Spawns the child process."""
+            proc = Process(target=child, args=(method, args))
+            proc.start()
+            return proc
+        ''',
+    })
+    findings = analyze_sources(sources, select=["F202"])
+    assert _lines(findings, "F202") == [("repro/flowfix/host.py", 12),
+                                        ("repro/flowfix/host.py", 24)]
+
+
 # ----------------------------------------------------------------------
 # F203 — CommMeter completeness
 # ----------------------------------------------------------------------
@@ -399,10 +451,14 @@ def test_real_tree_cone_keeps_shard_functions():
     src = Path(__file__).resolve().parents[1] / "src"
     sources = {_module_path(f): f.read_text(encoding="utf-8")
                for f in sorted(_iter_python_files(src))}
-    cone, _ = CallGraph(ProjectIndex.from_sources(sources)).worker_reachable()
+    index = ProjectIndex.from_sources(sources)
+    cone, _ = CallGraph(index).worker_reachable()
+    host = index.classes["repro.distributed.backends._WorkerHost"]
+    assert len(host.methods) > 10
     for qname in (
             "repro.distributed.inference.DistributedScorer._score_shard",
             "repro.serve.cluster.ServingCluster._execute_shard",
             "repro.serve.cluster.ServingCluster._execute_group",
-            "repro.distributed.backends._child_main"):
+            "repro.distributed.backends._child_main",
+            *(method.qname for method in host.methods.values())):
         assert qname in cone, qname
