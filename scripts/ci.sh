@@ -9,7 +9,7 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo "== backend equivalence =="
-python -m pytest -x -q tests/test_backends.py tests/test_api.py
+python -m pytest -x -q tests/test_backends.py tests/test_api.py tests/test_hot_path.py
 
 echo "== repro.lint =="
 python -m repro.lint src/ --format json

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..partition.partitioned import PartitionedGraph
-from ..sampling.blocks import GraphNeighborSource
+from ..sampling.blocks import GraphNeighborSource, merge_neighbor_groups
 from .comm import CommMeter
 
 
@@ -88,31 +88,13 @@ class WorkerGraphView:
             # expose only locally stored edges).
             return self._local.neighbors_batch(nodes)
 
-        counts = np.zeros(nodes.size, dtype=np.int64)
-        chunk_data = []
         local_sel = np.flatnonzero(local_mask)
-        if local_sel.size:
-            nbrs, w, offs = self._local.neighbors_batch(nodes[local_sel])
-            counts[local_sel] = np.diff(offs)
-            chunk_data.append((local_sel, nbrs, w, offs))
         remote_sel = np.flatnonzero(~local_mask)
-        if remote_sel.size:
-            nbrs, w, offs = self.remote.neighbors_batch(
-                nodes[remote_sel], self.meter)
-            counts[remote_sel] = np.diff(offs)
-            chunk_data.append((remote_sel, nbrs, w, offs))
-
-        total = int(counts.sum())
-        out_nbrs = np.empty(total, dtype=np.int64)
-        out_w = np.empty(total, dtype=np.float64)
-        out_offsets = np.concatenate([[0], np.cumsum(counts)])
-        for sel, nbrs, w, offs in chunk_data:
-            for j, pos in enumerate(sel):
-                lo, hi = offs[j], offs[j + 1]
-                dst = out_offsets[pos]
-                out_nbrs[dst:dst + hi - lo] = nbrs[lo:hi]
-                out_w[dst:dst + hi - lo] = w[lo:hi]
-        return out_nbrs, out_w, out_offsets
+        return merge_neighbor_groups(nodes.size, [
+            (local_sel, *self._local.neighbors_batch(nodes[local_sel])),
+            (remote_sel, *self.remote.neighbors_batch(nodes[remote_sel],
+                                                      self.meter)),
+        ])
 
     def _complete_neighbors(self, nodes: np.ndarray
                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,6 +21,7 @@ from ..sampling.blocks import Block
 from .module import Linear, Module, Parameter, xavier_uniform
 from .tensor import (
     Tensor,
+    aggregate,
     concat,
     gather,
     leaky_relu,
@@ -49,9 +50,7 @@ class GCNConv(Module):
 
     def forward(self, block: Block, h_src: Tensor) -> Tensor:
         """One message-passing step over ``block``."""
-        messages = gather(h_src, block.edge_src) * Tensor(
-            block.edge_weight[:, None])
-        agg = segment_sum(messages, block.edge_dst, block.num_dst)
+        agg = aggregate(block, h_src)
         h_self = _slice_rows(h_src, block.num_dst)
         total_weight = np.ones(block.num_dst)
         np.add.at(total_weight, block.edge_dst, block.edge_weight)
@@ -73,9 +72,7 @@ class SAGEConv(Module):
 
     def forward(self, block: Block, h_src: Tensor) -> Tensor:
         """One message-passing step over ``block``."""
-        messages = gather(h_src, block.edge_src) * Tensor(
-            block.edge_weight[:, None])
-        summed = segment_sum(messages, block.edge_dst, block.num_dst)
+        summed = aggregate(block, h_src)
         denom = np.zeros(block.num_dst)
         np.add.at(denom, block.edge_dst, block.edge_weight)
         denom = np.maximum(denom, 1e-12)
@@ -189,9 +186,7 @@ class GINConv(Module):
     def forward(self, block: Block, h_src: Tensor) -> Tensor:
         """One message-passing step over ``block``."""
         from .tensor import relu as _relu
-        messages = gather(h_src, block.edge_src) * Tensor(
-            block.edge_weight[:, None])
-        agg = segment_sum(messages, block.edge_dst, block.num_dst)
+        agg = aggregate(block, h_src)
         h_self = _slice_rows(h_src, block.num_dst)
         combined = h_self * (self.eps + 1.0) + agg
         return self.fc2(_relu(self.fc1(combined)))

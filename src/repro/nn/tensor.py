@@ -371,6 +371,41 @@ def log(x: Tensor) -> Tensor:
     return Tensor._result(data, (x,), backward)
 
 
+def _row_csr(rows: Array, cols: Array, values: Array,
+             shape: Tuple[int, int]) -> sp.csr_matrix:
+    """The sparse matrix with entry ``values[i]`` at ``(rows[i], cols[i])``.
+
+    Built straight from ``(data, indices, indptr)`` after a *stable*
+    sort by row: each row keeps its entries in input order and
+    duplicate ``(row, col)`` pairs stay separate.  A product with it
+    therefore adds, per output row, in the same order as ``np.add.at``
+    over the inputs, bit for bit.  (Going through COO or
+    ``sum_duplicates`` would reorder and merge, and ``w1*h + w2*h`` is
+    not ``(w1 + w2)*h`` in floating point.)
+    """
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((values[order], cols[order], indptr), shape=shape)
+
+
+def _spmm(matrix: sp.csr_matrix, x: Array) -> Array:
+    """``matrix @ x`` over ``x``'s leading axis, for any trailing shape."""
+    out_shape = (matrix.shape[0],) + x.shape[1:]
+    if matrix.nnz == 0:
+        return np.zeros(out_shape, dtype=np.float64)
+    width = int(np.prod(x.shape[1:], dtype=np.int64))
+    return (matrix @ x.reshape(x.shape[0], width)).reshape(out_shape)
+
+
+def _scatter_add(index: Array, values: Array, num_rows: int) -> Array:
+    """``out[index[i]] += values[i]`` in index order (``np.add.at``)."""
+    ones = np.ones(index.size, dtype=np.float64)
+    cols = np.arange(index.size, dtype=np.int64)
+    return _spmm(_row_csr(index, cols, ones, (num_rows, index.size)),
+                 values)
+
+
 def gather(x: Tensor, index: Array) -> Tensor:
     """Row gather ``x[index]``; backward is scatter-add."""
     index = np.asarray(index, dtype=np.int64)
@@ -379,9 +414,35 @@ def gather(x: Tensor, index: Array) -> Tensor:
     def backward(grad: Array) -> None:
         if not x.requires_grad:
             return
-        full = np.zeros_like(x.data)
-        np.add.at(full, index, grad)
-        x._accumulate(full)
+        rows = index.ravel()
+        x._accumulate(_scatter_add(
+            rows, grad.reshape(rows.shape + x.data.shape[1:]),
+            x.data.shape[0]))
+
+    return Tensor._result(data, (x,), backward)
+
+
+def aggregate(block, x: Tensor) -> Tensor:
+    """Weighted neighbor sum over a message-flow block.
+
+    ``out[d] = sum of edge_weight[e] * x[edge_src[e]]`` over the edges
+    ``e`` with ``edge_dst[e] == d``, for ``d < block.num_dst``: the
+    ``gather -> x weight -> segment_sum`` of GCN/SAGE/GIN as one sparse
+    product ``A @ x``, with backward ``A^T @ grad``.  Within each row
+    the edges add in edge order, so the result is bitwise equal to the
+    three-op form.
+    """
+    num_src = x.data.shape[0]
+    forward = _row_csr(block.edge_dst, block.edge_src, block.edge_weight,
+                       (block.num_dst, num_src))
+    data = _spmm(forward, x.data)
+
+    def backward(grad: Array) -> None:
+        if not x.requires_grad:
+            return
+        transpose = _row_csr(block.edge_src, block.edge_dst,
+                             block.edge_weight, (num_src, block.num_dst))
+        x._accumulate(_spmm(transpose, grad))
 
     return Tensor._result(data, (x,), backward)
 
@@ -408,8 +469,7 @@ def segment_sum(x: Tensor, segment_ids: Array, num_segments: int) -> Tensor:
     all i with segment_ids[i] == s``.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    out = np.zeros((num_segments,) + x.data.shape[1:], dtype=np.float64)
-    np.add.at(out, segment_ids, x.data)
+    out = _scatter_add(segment_ids, x.data, num_segments)
 
     def backward(grad: Array) -> None:
         x._accumulate(grad[segment_ids])

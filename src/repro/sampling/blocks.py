@@ -146,11 +146,46 @@ class GraphNeighborSource:
         if total == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, np.zeros(0, dtype=np.float64), offsets
-        # Build a flat index selecting each node's CSR slice.
-        flat = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
+        # Flat index selecting each node's CSR slice: output position
+        # ``p`` of node ``i`` reads ``starts[i] + p - offsets[i]``.
+        flat = np.arange(total) + np.repeat(starts - offsets[:-1], counts)
         nbrs = g.indices[flat]
         if g.weights is None:
             weights = np.ones(total, dtype=np.float64)
         else:
             weights = g.weights[flat]
         return nbrs, weights, offsets
+
+
+def merge_neighbor_groups(num_nodes: int, groups) -> Tuple[np.ndarray,
+                                                          np.ndarray,
+                                                          np.ndarray]:
+    """Scatter per-group neighbor answers back into query order.
+
+    ``groups`` holds ``(sel, nbrs, weights, offsets)`` tuples: the
+    query positions a group answered and its CSR-shaped answer (as
+    :meth:`NeighborSource.neighbors_batch` returns it).  Every query
+    position in ``range(num_nodes)`` appears in at most one group; a
+    position in none gets an empty list.  Returns the merged
+    ``(nbr_ids, nbr_weights, offsets)``.
+    """
+    if not groups:
+        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
+                np.zeros(num_nodes + 1, dtype=np.int64))
+    sel = np.concatenate([g[0] for g in groups])
+    nbrs = np.concatenate([g[1] for g in groups])
+    weights = np.concatenate([g[2] for g in groups])
+    group_counts = np.concatenate([np.diff(g[3]) for g in groups])
+    counts = np.zeros(num_nodes, dtype=np.int64)
+    counts[sel] = group_counts
+    out_offsets = np.concatenate([[0], np.cumsum(counts)])
+    # Answer ``k`` of the concatenated groups lands at its query's
+    # output offset plus its rank within that query's list.
+    src_offsets = np.cumsum(group_counts) - group_counts
+    dest = np.arange(nbrs.size) + np.repeat(out_offsets[sel] - src_offsets,
+                                            group_counts)
+    out_nbrs = np.empty(nbrs.size, dtype=np.int64)
+    out_w = np.empty(nbrs.size, dtype=np.float64)
+    out_nbrs[dest] = nbrs
+    out_w[dest] = weights
+    return out_nbrs, out_w, out_offsets

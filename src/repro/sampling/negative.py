@@ -27,21 +27,21 @@ from ..graph.graph import Graph
 
 
 class EdgeMembership:
-    """O(1) membership test over a graph's undirected edge set."""
+    """Membership test over a graph's undirected edge set.
+
+    Edges are kept as sorted unique ``lo * num_nodes + hi`` keys, so a
+    batch of pairs is one ``searchsorted``.
+    """
 
     def __init__(self, graph: Graph) -> None:
         self.num_nodes = graph.num_nodes
         edges = graph.edge_list()
         lo = np.minimum(edges[:, 0], edges[:, 1]).astype(np.int64)
         hi = np.maximum(edges[:, 0], edges[:, 1]).astype(np.int64)
-        self._keys = set((lo * self.num_nodes + hi).tolist())
+        self._keys = np.unique(lo * self.num_nodes + hi)
 
     def __contains__(self, pair) -> bool:
-        u, v = int(pair[0]), int(pair[1])
-        if u == v:
-            return True  # treat self-pairs as "not a valid negative"
-        lo, hi = (u, v) if u < v else (v, u)
-        return lo * self.num_nodes + hi in self._keys
+        return bool(self.contains_many([(pair[0], pair[1])])[0])
 
     def contains_many(self, pairs: np.ndarray) -> np.ndarray:
         """Vectorized membership: True where a pair is an edge (or a
@@ -50,10 +50,10 @@ class EdgeMembership:
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
         keys = lo * self.num_nodes + hi
-        self_loop = pairs[:, 0] == pairs[:, 1]
-        member = np.fromiter((k in self._keys for k in keys.tolist()),
-                             dtype=bool, count=keys.size)
-        return member | self_loop
+        pos = np.searchsorted(self._keys, keys)
+        member = pos < self._keys.size
+        member[member] = self._keys[pos[member]] == keys[member]
+        return member | (pairs[:, 0] == pairs[:, 1])
 
 
 class PerSourceUniformNegativeSampler:

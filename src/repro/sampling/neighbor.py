@@ -62,10 +62,11 @@ def sample_block(
         nbrs, weights, dst_per_edge = nbrs[keep], weights[keep], dst_per_edge[keep]
 
     src_nodes = _unique_preserving_seeds(seeds, nbrs)
-    # Map global neighbor ids to local row indices.
-    lookup = {int(n): i for i, n in enumerate(src_nodes)}
-    edge_src = np.fromiter((lookup[int(n)] for n in nbrs),
-                           dtype=np.int64, count=nbrs.size)
+    # Map global neighbor ids to local row indices.  Every neighbor is
+    # in ``src_nodes``; with duplicate seeds the last occurrence wins.
+    order = np.argsort(src_nodes, kind="stable")
+    edge_src = order[np.searchsorted(src_nodes, nbrs, side="right",
+                                     sorter=order) - 1]
     return Block(
         src_nodes=src_nodes,
         num_dst=int(seeds.size),
